@@ -49,7 +49,6 @@ std::string to_string(ConcatAlgorithm a) {
 
 std::string to_string(ExecutionPath p) {
   switch (p) {
-    case ExecutionPath::kCompiled: return "compiled";
     case ExecutionPath::kReference: return "reference";
     case ExecutionPath::kPipelined: return "pipelined";
   }
@@ -154,169 +153,519 @@ double wall_since_us(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The shared compiled tail of both collectives: fetch (or lower once) the
-/// plan for `key`, execute it through the requested executor, and report
-/// the cache/round/byte statistics.  `wall_out`, when given, receives the
-/// measured execution wall time in microseconds (also carried on the
-/// PlanEvent).
+/// The blocking facade's one execution tail: fetch (or lower once) the
+/// plan for `key`, run it through Plan::run_pipelined with the family's
+/// run arguments (block size or VectorView, ReduceOp, start round,
+/// layouts), and report the cache/round/byte statistics as a PlanEvent.
+/// `wall_out`, when given, receives the measured execution wall time in
+/// microseconds (also carried on the PlanEvent).
+template <typename... RunArgs>
 int run_compiled(mps::Communicator& comm, const PlanKey& key,
-                 std::span<const std::byte> send, std::span<std::byte> recv,
-                 std::int64_t block_bytes, int start_round, bool pipelined,
-                 const LayoutPair& layouts = {},
-                 double* wall_out = nullptr) {
+                 double* wall_out, std::span<const std::byte> send,
+                 std::span<std::byte> recv, const RunArgs&... args) {
   const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
   const auto start = std::chrono::steady_clock::now();
   const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, block_bytes,
-                                       start_round, layouts)
-          : lookup.plan->run(comm, send, recv, block_bytes, start_round,
-                             layouts);
+      lookup.plan->run_pipelined(comm, send, recv, args...);
   const double wall_us = wall_since_us(start);
   mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
-                       ex.bytes_sent};
+                       ex.bytes_sent, ex.bytes_reduced};
   event.wall_us = wall_us;
   comm.record_plan_event(event);
   if (wall_out != nullptr) *wall_out = wall_us;
   return ex.next_round;
 }
 
-/// run_compiled's irregular twin: fetch/lower the vector plan and execute
-/// it against the VectorView.
-int run_compiled_v(mps::Communicator& comm, const PlanKey& key,
-                   std::span<const std::byte> send, std::span<std::byte> recv,
-                   const VectorView& view, int start_round, bool pipelined,
-                   const LayoutPair& layouts = {}) {
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
-  const auto start = std::chrono::steady_clock::now();
-  const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, view, start_round,
-                                       layouts)
-          : lookup.plan->run(comm, send, recv, view, start_round, layouts);
-  mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
-                       ex.bytes_sent};
-  event.wall_us = wall_since_us(start);
-  comm.record_plan_event(event);
-  return ex.next_round;
+/// One collective call's resolved execution recipe, shared by every
+/// blocking and i* overload of a family: the plan key (the tuned
+/// algorithm, radix or last-round strategy, wire segment count, and layout
+/// digest are all part of it), the modeled measures behind the choice (the
+/// segment tuner's and the fusion decision's input), and the machine the
+/// recipe was tuned under.
+struct Recipe {
+  PlanKey key;
+  model::CostMetrics predicted;
+  model::LinearModel machine;
+};
+
+/// The wire segment count for `predicted` under the user knob `requested`.
+/// A learned tuner force (`hint`, 0 = none) stands in for an untouched
+/// knob and goes through the same clamp as a user-requested count.
+int resolve_segments(int requested, int hint,
+                     const model::LinearModel& machine,
+                     const model::CostMetrics& predicted) {
+  return model::resolve_segment_knob(
+      requested == 0 && hint > 0 ? hint : requested, /*pipelined=*/true,
+      machine, predicted);
 }
 
-/// Packed canonical layout: block i at the prefix sum of sizes [0, i).
-std::vector<std::int64_t> prefix_displs(std::span<const std::int64_t> sizes) {
+Recipe resolve_alltoall(std::int64_t n, int k, std::int64_t block_bytes,
+                        const AlltoallOptions& options,
+                        const LayoutPair& layouts = {}) {
+  const AlltoallPlan plan = plan_alltoall(n, k, block_bytes, options);
+  Recipe r;
+  r.machine = model::effective_machine(options.machine);
+  r.predicted = plan.predicted;
+  r.key = index_plan_key(
+      plan.algorithm, n, k, plan.radix,
+      resolve_segments(options.segments, plan.segments_hint, r.machine,
+                       plan.predicted),
+      layout_digest(layouts.send, layouts.recv));
+  return r;
+}
+
+Recipe resolve_allgather(std::int64_t n, int k, std::int64_t block_bytes,
+                         const AllgatherOptions& options,
+                         const LayoutPair& layouts = {}) {
+  const ConcatAlgorithm algorithm =
+      options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
+                                                  : options.algorithm;
+  // Canonicalize the last-round strategy so equal geometries share a key
+  // (the same resolution concat_bruck performs internally).
+  const model::ConcatLastRound strategy =
+      algorithm == ConcatAlgorithm::kBruck
+          ? model::resolve_concat_last_round(n, k, block_bytes,
+                                             options.last_round)
+          : options.last_round;
+  Recipe r;
+  r.machine = model::effective_machine(options.machine);
+  switch (algorithm) {
+    case ConcatAlgorithm::kBruck:
+    case ConcatAlgorithm::kAuto:
+      r.predicted = model::concat_bruck_cost(n, k, block_bytes, strategy);
+      break;
+    case ConcatAlgorithm::kFolklore:
+      r.predicted = model::concat_folklore_cost(n, block_bytes);
+      break;
+    case ConcatAlgorithm::kRing:
+      r.predicted = model::concat_ring_cost(n, block_bytes);
+      break;
+  }
+  r.key = concat_plan_key(
+      algorithm, n, k, strategy, block_bytes,
+      resolve_segments(options.segments, 0, r.machine, r.predicted),
+      layout_digest(layouts.send, layouts.recv));
+  return r;
+}
+
+Recipe resolve_reduce_scatter(std::int64_t n, int k, std::int64_t block_bytes,
+                              const ReduceOp& op,
+                              const ReduceScatterOptions& options,
+                              const LayoutPair& layouts = {}) {
+  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
+      n, k, block_bytes, options.algorithm, options.radix, options.machine,
+      options.radix_set);
+  Recipe r;
+  r.machine = model::effective_machine(options.machine);
+  r.predicted = choice.predicted;
+  r.key = reduce_plan_key(
+      choice.algorithm, n, k, choice.radix, op,
+      resolve_segments(options.segments, choice.segments_hint, r.machine,
+                       choice.predicted),
+      layout_digest(layouts.send, layouts.recv));
+  return r;
+}
+
+/// Run a plain blocking call's recipe through `run(key, wall_out)`, with
+/// live adaptive exploration when the call is fully tuner-driven (Bruck,
+/// no forced radix or segment count) and a tuner installed the hook.  The
+/// decided config — not its clamped resolution — is echoed back with the
+/// measured wall time so the learner can match the arm it scheduled.
+template <typename Run>
+int run_tuned(model::TunedFamily family, std::int64_t n, int k,
+              std::int64_t block_bytes, const Recipe& r, bool tuner_driven,
+              const Run& run) {
+  if (!tuner_driven || !model::adaptive_hook_installed()) {
+    return run(r.key, nullptr);
+  }
+  const model::TunerQuery query =
+      model::make_tuner_query(family, n, k, block_bytes, r.machine);
+  model::TunerConfig base;
+  base.radix = r.key.radix;
+  base.segments = r.key.segments;
+  const model::TunerConfig decided = model::adaptive_decision(query, base);
+  PlanKey key = r.key;
+  if (decided.radix > 0) key.radix = decided.radix;
+  if (decided.segments > 0) key.segments = decided.segments;
+  double wall_us = 0.0;
+  const int next = run(key, &wall_us);
+  model::ExecutionSample sample;
+  sample.query = query;
+  sample.config = decided;
+  sample.wall_us = wall_us;
+  sample.predicted_us = family == model::TunedFamily::kReduceScatter
+                            ? r.machine.predict_reduce_us(r.predicted)
+                            : r.machine.predict_us(r.predicted);
+  model::notify_execution(sample);
+  return next;
+}
+
+/// The layout overloads' shared contract: both layouts carry the same
+/// logical block size, and the buffers cover `send_blocks` / `recv_blocks`
+/// layout-mapped blocks.  Returns that block size.
+std::int64_t check_layouts(std::span<const std::byte> send,
+                           std::span<std::byte> recv, const Layout& send_layout,
+                           const Layout& recv_layout, std::int64_t send_blocks,
+                           std::int64_t recv_blocks) {
+  const std::int64_t b = send_layout.block_bytes();
+  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
+                    "send and recv layouts must carry the same logical "
+                    "block size");
+  BRUCK_REQUIRE_MSG(
+      static_cast<std::int64_t>(send.size()) >=
+              send_layout.span_bytes(send_blocks) &&
+          static_cast<std::int64_t>(recv.size()) >=
+              recv_layout.span_bytes(recv_blocks),
+      "buffers must cover the layouts' physical span");
+  return b;
+}
+
+bool both_contiguous(const Layout& send_layout, const Layout& recv_layout) {
+  return send_layout.is_contiguous() && recv_layout.is_contiguous();
+}
+
+/// Reductions combine whole op elements.
+void check_whole_elems(std::int64_t bytes, const ReduceOp& op) {
+  BRUCK_REQUIRE(bytes >= 0);
+  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 && bytes % op.elem_bytes() == 0,
+                    "payload must be a whole number of op elements");
+}
+
+/// The common part of every nonblocking submission: the resolved recipe,
+/// the payload buffers, the raw user segment knob and start round from
+/// `options`, and (when given) value copies of the layouts.
+template <typename Options>
+OpSpec make_spec(OpSpec::Family family, std::span<const std::byte> send,
+                 std::span<std::byte> recv, std::int64_t block_bytes,
+                 const Recipe& r, const Options& options,
+                 const LayoutPair& layouts) {
+  OpSpec spec;
+  spec.family = family;
+  spec.send = send;
+  spec.recv = recv;
+  spec.block_bytes = block_bytes;
+  spec.key = r.key;
+  spec.predicted = r.predicted;
+  spec.machine = r.machine;
+  spec.requested_segments = options.segments;
+  spec.start_round = options.start_round;
+  if (layouts.send != nullptr) {
+    spec.send_layout = *layouts.send;
+    spec.recv_layout = *layouts.recv;
+    spec.has_layout = true;
+  }
+  return spec;
+}
+
+/// Packed canonical layout: block i at the prefix sum of the footprints
+/// [0, i) — the sizes themselves, or their physical spans span_of(size)
+/// under `layout` (identical for contiguous layouts).
+std::vector<std::int64_t> prefix_displs(std::span<const std::int64_t> sizes,
+                                        const Layout* layout = nullptr) {
   std::vector<std::int64_t> displs(sizes.size());
   std::int64_t pos = 0;
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     displs[i] = pos;
-    pos += sizes[i];
+    pos += layout != nullptr ? layout->span_of(sizes[i]) : sizes[i];
   }
   return displs;
 }
 
-/// prefix_displs in layout space: block i's origin at the prefix sum of
-/// the *physical* footprints span_of(count) — degenerates to prefix_displs
-/// for contiguous layouts.
-std::vector<std::int64_t> layout_prefix_displs(
-    const Layout& layout, std::span<const std::int64_t> counts) {
-  std::vector<std::int64_t> displs(counts.size());
-  std::int64_t pos = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    displs[i] = pos;
-    pos += layout.span_of(counts[i]);
-  }
-  return displs;
+/// Row `rank` of the n×n count matrix: the bytes this rank sends.
+std::span<const std::int64_t> count_row(std::span<const std::int64_t> counts,
+                                        std::int64_t n, std::int64_t rank) {
+  return counts.subspan(static_cast<std::size_t>(rank * n),
+                        static_cast<std::size_t>(n));
 }
 
-/// The resolved execution recipe of an allgather call (shared by the plain
-/// and layout overloads): canonicalized algorithm and last-round strategy
-/// (so equal geometries share a key) plus the resolved segment knob.
-struct ConcatRecipe {
-  ConcatAlgorithm algorithm = ConcatAlgorithm::kBruck;
-  model::ConcatLastRound strategy = model::ConcatLastRound::kAuto;
-  int segments = 1;
-  /// Modeled measures behind the choice (zero unless pipelined — only the
-  /// segment tuner and the progress engine read them).
-  model::CostMetrics predicted;
-};
+/// Column `rank` of the n×n count matrix: the bytes this rank receives.
+std::vector<std::int64_t> count_column(std::span<const std::int64_t> counts,
+                                       std::int64_t n, std::int64_t rank) {
+  std::vector<std::int64_t> col(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    col[static_cast<std::size_t>(i)] =
+        counts[static_cast<std::size_t>(i * n + rank)];
+  }
+  return col;
+}
 
-ConcatRecipe resolve_concat_recipe(std::int64_t n, int k,
-                                   std::int64_t block_bytes,
-                                   const AllgatherOptions& options,
-                                   bool pipelined) {
-  ConcatRecipe recipe;
-  recipe.algorithm = options.algorithm == ConcatAlgorithm::kAuto
-                         ? ConcatAlgorithm::kBruck
-                         : options.algorithm;
-  recipe.strategy =
-      recipe.algorithm == ConcatAlgorithm::kBruck
-          ? model::resolve_concat_last_round(n, k, block_bytes,
-                                             options.last_round)
-          : options.last_round;
-  if (pipelined) {
-    // Needed for forced counts too: resolve_segment_knob clamps them against
-    // the per-message floor derived from these metrics.
-    switch (recipe.algorithm) {
-      case ConcatAlgorithm::kBruck:
-      case ConcatAlgorithm::kAuto:
-        recipe.predicted =
-            model::concat_bruck_cost(n, k, block_bytes, recipe.strategy);
-        break;
-      case ConcatAlgorithm::kFolklore:
-        recipe.predicted = model::concat_folklore_cost(n, block_bytes);
-        break;
-      case ConcatAlgorithm::kRing:
-        recipe.predicted = model::concat_ring_cost(n, block_bytes);
-        break;
+/// An alltoallv call's validated shape, shared by the blocking, layout,
+/// and nonblocking overloads: the count-matrix scan (total bytes and the
+/// heaviest pair — the tuner's input and the padding stride) and the
+/// displacement tables.  Empty tables default to the packed canonical
+/// layout (in layout space when layouts are given).  The displacement spans
+/// point into the caller's tables or the owned defaults, so the shape is
+/// neither copied nor moved.
+struct IndexvShape {
+  IndexvShape(std::int64_t n, std::int64_t rank,
+              std::span<const std::int64_t> counts,
+              std::span<const std::int64_t> send,
+              std::span<const std::int64_t> recv, const LayoutPair& layouts)
+      : send_displs(send), recv_displs(recv) {
+    BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
+                      "alltoallv needs the full n*n count matrix");
+    for (const std::int64_t c : counts) {
+      BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
+      total += c;
+      max_pair = std::max(max_pair, c);
     }
+    if (layouts.send != nullptr) {
+      BRUCK_REQUIRE_MSG(layouts.send->block_bytes() >= max_pair &&
+                            layouts.recv->block_bytes() >= max_pair,
+                        "layouts must cover the largest pair count");
+    }
+    if (send_displs.empty()) {
+      send_default = prefix_displs(count_row(counts, n, rank), layouts.send);
+      send_displs = send_default;
+    }
+    if (recv_displs.empty()) {
+      recv_default =
+          prefix_displs(count_column(counts, n, rank), layouts.recv);
+      recv_displs = recv_default;
+    }
+    BRUCK_REQUIRE(static_cast<std::int64_t>(send_displs.size()) == n);
+    BRUCK_REQUIRE(static_cast<std::int64_t>(recv_displs.size()) == n);
   }
-  recipe.segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
-  return recipe;
-}
+  IndexvShape(const IndexvShape&) = delete;
+  IndexvShape& operator=(const IndexvShape&) = delete;
 
-/// The resolved algorithm/radix/measures of an alltoallv call's shape
-/// statistics (shared by the blocking, layout, and nonblocking overloads).
-struct IndexvRecipe {
-  IndexAlgorithm algorithm = IndexAlgorithm::kBruck;
-  std::int64_t radix = 2;
-  model::CostMetrics predicted;
+  std::int64_t total = 0;
+  std::int64_t max_pair = 0;
+  std::span<const std::int64_t> send_displs;
+  std::span<const std::int64_t> recv_displs;
+  std::vector<std::int64_t> send_default;
+  std::vector<std::int64_t> recv_default;
 };
 
-IndexvRecipe resolve_indexv_recipe(std::int64_t n, int k, std::int64_t total,
-                                   std::int64_t max_pair,
-                                   const AlltoallvOptions& options) {
+Recipe resolve_alltoallv(std::int64_t n, int k, const IndexvShape& shape,
+                         std::span<const std::int64_t> counts,
+                         const AlltoallvOptions& options,
+                         const LayoutPair& layouts) {
   const std::int64_t mean =
-      std::max<std::int64_t>(1, (total + n * n - 1) / (n * n));
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  IndexvRecipe recipe;
-  recipe.algorithm = options.algorithm;
-  recipe.radix = std::max<std::int64_t>(2, n);
+      std::max<std::int64_t>(1, (shape.total + n * n - 1) / (n * n));
+  Recipe r;
+  r.machine = model::effective_machine(options.machine);
+  IndexAlgorithm algorithm = options.algorithm;
+  std::int64_t radix = std::max<std::int64_t>(2, n);
   switch (options.algorithm) {
     case IndexAlgorithm::kDirect:
-      recipe.predicted = model::index_direct_cost(n, k, max_pair);
+      r.predicted = model::index_direct_cost(n, k, shape.max_pair);
       break;
     case IndexAlgorithm::kPairwise:
-      recipe.predicted = model::index_pairwise_cost(n, k, max_pair);
+      r.predicted = model::index_pairwise_cost(n, k, shape.max_pair);
       break;
     case IndexAlgorithm::kBruck:
-      recipe.radix = options.radix != 0
-                         ? options.radix
-                         : model::pick_index_radix_cached(
-                               n, k, mean, machine, options.radix_set)
-                               .radix;
-      recipe.predicted = model::index_bruck_cost(n, recipe.radix, k, mean);
+      radix = options.radix != 0
+                  ? options.radix
+                  : model::pick_index_radix_cached(n, k, mean, r.machine,
+                                                   options.radix_set)
+                        .radix;
+      r.predicted = model::index_bruck_cost(n, radix, k, mean);
       break;
     case IndexAlgorithm::kAuto: {
       const model::VectorIndexChoice choice = model::pick_indexv_cached(
-          n, k, total, max_pair, machine, options.radix_set);
-      recipe.algorithm = choice.direct ? IndexAlgorithm::kDirect
-                                       : IndexAlgorithm::kBruck;
-      recipe.radix = choice.radix;
-      recipe.predicted = choice.predicted;
+          n, k, shape.total, shape.max_pair, r.machine, options.radix_set);
+      algorithm =
+          choice.direct ? IndexAlgorithm::kDirect : IndexAlgorithm::kBruck;
+      radix = choice.radix;
+      r.predicted = choice.predicted;
       break;
     }
   }
-  return recipe;
+  r.key = indexv_plan_key(
+      algorithm, n, k, radix, shape_digest(counts),
+      resolve_segments(options.segments, 0, r.machine, r.predicted),
+      layout_digest(layouts.send, layouts.recv));
+  return r;
+}
+
+/// kReference under layouts: the per-pair oracle predates layouts, so
+/// stage through packed copies around it.
+int alltoallv_staged_reference(mps::Communicator& comm,
+                               std::span<const std::byte> send,
+                               std::span<std::byte> recv,
+                               std::span<const std::int64_t> counts,
+                               const IndexvShape& shape,
+                               const LayoutPair& layouts, int start_round) {
+  const std::int64_t n = comm.size();
+  const std::int64_t rank = comm.rank();
+  const std::span<const std::int64_t> row = count_row(counts, n, rank);
+  const std::vector<std::int64_t> col = count_column(counts, n, rank);
+  const std::vector<std::int64_t> packed_sd = prefix_displs(row);
+  const std::vector<std::int64_t> packed_rd = prefix_displs(col);
+  const auto at = [](std::span<const std::int64_t> v, std::int64_t i) {
+    return v[static_cast<std::size_t>(i)];
+  };
+  std::vector<std::byte> s(
+      static_cast<std::size_t>(packed_sd.back() + at(row, n - 1)));
+  std::vector<std::byte> r(
+      static_cast<std::size_t>(packed_rd.back() + at(col, n - 1)));
+  for (std::int64_t j = 0; j < n; ++j) {
+    layout_gather(send, *layouts.send, at(shape.send_displs, j), 0,
+                  at(row, j),
+                  std::span<std::byte>(s).subspan(
+                      static_cast<std::size_t>(at(packed_sd, j)),
+                      static_cast<std::size_t>(at(row, j))));
+  }
+  const int next = alltoallv_reference(comm, s, r, counts, packed_sd,
+                                       packed_rd,
+                                       VectorReferenceOptions{start_round});
+  for (std::int64_t i = 0; i < n; ++i) {
+    layout_scatter(recv, *layouts.recv, at(shape.recv_displs, i), 0,
+                   at(col, i),
+                   std::span<const std::byte>(r).subspan(
+                       static_cast<std::size_t>(at(packed_rd, i)),
+                       static_cast<std::size_t>(at(col, i))));
+  }
+  return next;
+}
+
+/// Both blocking alltoallv overloads (null layouts = the plain one).
+int run_alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
+                  std::span<std::byte> recv,
+                  std::span<const std::int64_t> counts,
+                  std::span<const std::int64_t> send_displs,
+                  std::span<const std::int64_t> recv_displs,
+                  const AlltoallvOptions& options, const LayoutPair& layouts) {
+  const std::int64_t n = comm.size();
+  const IndexvShape shape(n, comm.rank(), counts, send_displs, recv_displs,
+                          layouts);
+  if (options.path == ExecutionPath::kReference) {
+    if (layouts.send != nullptr) {
+      return alltoallv_staged_reference(comm, send, recv, counts, shape,
+                                        layouts, options.start_round);
+    }
+    return alltoallv_reference(comm, send, recv, counts, shape.send_displs,
+                               shape.recv_displs,
+                               VectorReferenceOptions{options.start_round});
+  }
+  const VectorView view{counts, shape.send_displs, shape.recv_displs,
+                        shape.max_pair};
+  return run_compiled(
+      comm,
+      resolve_alltoallv(n, comm.ports(), shape, counts, options, layouts).key,
+      nullptr, send, recv, view, options.start_round, layouts);
+}
+
+/// Both nonblocking alltoallv overloads (null layouts = the plain one).
+Request submit_ialltoallv(mps::Communicator& comm,
+                          std::span<const std::byte> send,
+                          std::span<std::byte> recv,
+                          std::span<const std::int64_t> counts,
+                          std::span<const std::int64_t> send_displs,
+                          std::span<const std::int64_t> recv_displs,
+                          const AlltoallvOptions& options,
+                          const LayoutPair& layouts) {
+  const std::int64_t n = comm.size();
+  const IndexvShape shape(n, comm.rank(), counts, send_displs, recv_displs,
+                          layouts);
+  OpSpec spec = make_spec(
+      OpSpec::Family::kAlltoallv, send, recv, /*block_bytes=*/0,
+      resolve_alltoallv(n, comm.ports(), shape, counts, options, layouts),
+      options, layouts);
+  // The engine outlives the caller's tables: own every shape vector.
+  spec.counts.assign(counts.begin(), counts.end());
+  spec.send_displs.assign(shape.send_displs.begin(), shape.send_displs.end());
+  spec.recv_displs.assign(shape.recv_displs.begin(), shape.recv_displs.end());
+  spec.pad_bytes = shape.max_pair;
+  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+}
+
+/// Allreduce's stage block: ⌈elems/n⌉ op elements.  The tail block is
+/// zero-padded identically on every rank; padded results are combined but
+/// never copied back.
+std::int64_t allreduce_block(std::int64_t n, std::int64_t bytes,
+                             const ReduceOp& op) {
+  const std::int64_t ew = op.elem_bytes();
+  return (n > 0 ? ceil_div(bytes / ew, n) : 0) * ew;
+}
+
+/// The reduce-scatter stage of an allreduce: its tuning knobs, path, and
+/// start round (the blocking stage also keeps the default hierarchy knob).
+ReduceScatterOptions reduce_stage(const AllreduceOptions& options) {
+  ReduceScatterOptions rs;
+  rs.algorithm = options.algorithm;
+  rs.radix = options.radix;
+  rs.machine = options.machine;
+  rs.radix_set = options.radix_set;
+  rs.start_round = options.start_round;
+  rs.path = options.path;
+  rs.segments = options.segments;
+  return rs;
+}
+
+/// The allgather stage of an allreduce, starting at `start_round`.
+AllgatherOptions concat_stage(const AllreduceOptions& options,
+                              int start_round) {
+  AllgatherOptions ag;
+  ag.algorithm = options.concat;
+  ag.machine = options.machine;
+  ag.start_round = start_round;
+  ag.path = options.path;
+  ag.segments = options.segments;
+  return ag;
+}
+
+/// Both blocking allreduce overloads past the oracle (null layouts = the
+/// plain one): reduce-scatter over allreduce_block blocks, then allgather
+/// the reduced blocks.  Under layouts the gather into the padded scratch
+/// walks the send layout and the final scatter walks the recv layout —
+/// they replace the staging memcpys rather than adding copies — and the
+/// wire stages run contiguous (no layout digest in their keys).
+int run_allreduce(mps::Communicator& comm, std::span<const std::byte> send,
+                  std::span<std::byte> recv, std::int64_t bytes,
+                  const ReduceOp& op, const AllreduceOptions& options,
+                  const LayoutPair& layouts) {
+  const std::int64_t n = comm.size();
+  const std::int64_t b = allreduce_block(n, bytes, op);
+  const auto head = static_cast<std::size_t>(bytes);
+  std::vector<std::byte> padded(static_cast<std::size_t>(n * b),
+                                std::byte{0});
+  if (layouts.send != nullptr) {
+    layout_gather(send, *layouts.send, 0, 0, bytes,
+                  std::span<std::byte>(padded).first(head));
+  } else if (bytes > 0) {
+    std::memcpy(padded.data(), send.data(), head);
+  }
+  std::vector<std::byte> reduced(static_cast<std::size_t>(b));
+  const int after_reduce =
+      reduce_scatter(comm, padded, reduced, b, op, reduce_stage(options));
+
+  std::vector<std::byte> gathered(static_cast<std::size_t>(n * b));
+  const int next = allgather(comm, reduced, gathered, b,
+                             concat_stage(options, after_reduce));
+  if (layouts.recv != nullptr) {
+    layout_scatter(recv, *layouts.recv, 0, 0, bytes,
+                   std::span<const std::byte>(gathered).first(head));
+  } else if (bytes > 0) {
+    std::memcpy(recv.data(), gathered.data(), head);
+  }
+  return next;
+}
+
+/// Both nonblocking allreduce overloads (null layouts = the plain one):
+/// the two stages are resolved up front by the reduce-scatter and
+/// allgather resolvers, and the engine chains the allgather after the
+/// reduce-scatter inside one tag namespace.  Layouts, when present, only
+/// steer the engine's staging copies — neither stage key carries a layout
+/// digest.
+Request submit_iallreduce(mps::Communicator& comm,
+                          std::span<const std::byte> send,
+                          std::span<std::byte> recv, std::int64_t bytes,
+                          const ReduceOp& op, const AllreduceOptions& options,
+                          const LayoutPair& layouts) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  const std::int64_t b = allreduce_block(n, bytes, op);
+  OpSpec spec = make_spec(
+      OpSpec::Family::kAllreduce, send, recv, b,
+      resolve_reduce_scatter(n, k, b, op, reduce_stage(options)), options,
+      layouts);
+  spec.concat_key =
+      resolve_allgather(n, k, b, concat_stage(options, options.start_round))
+          .key;
+  spec.op = op;
+  return ProgressEngine::for_comm(comm).submit(std::move(spec));
 }
 
 }  // namespace
@@ -365,10 +714,10 @@ AlltoallPlan plan_alltoall(std::int64_t n, int k, std::int64_t block_bytes,
 int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
              std::span<std::byte> recv, std::int64_t block_bytes,
              const AlltoallOptions& options) {
-  const AlltoallPlan plan =
-      plan_alltoall(comm.size(), comm.ports(), block_bytes, options);
-
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
   if (options.path == ExecutionPath::kReference) {
+    const AlltoallPlan plan = plan_alltoall(n, k, block_bytes, options);
     switch (plan.algorithm) {
       case IndexAlgorithm::kDirect:
         return index_direct(comm, send, recv, block_bytes,
@@ -385,80 +734,35 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
     return options.start_round;
   }
 
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-
   // Hierarchical dispatch: when the knob engages, lower this rank's
   // leader-model composite and run it stage by stage (the composite records
   // its own per-stage PlanEvents).
+  const bool bruck_family = options.algorithm == IndexAlgorithm::kAuto ||
+                            options.algorithm == IndexAlgorithm::kBruck;
   const HierMode hmode = resolve_hier_mode(options.hier);
-  if (hier_eligible(hmode, comm.size(), block_bytes,
-                    options.algorithm == IndexAlgorithm::kAuto ||
-                        options.algorithm == IndexAlgorithm::kBruck)) {
+  if (hier_eligible(hmode, n, block_bytes, bruck_family)) {
     const model::HierChoice choice = model::pick_index_plan_cached(
-        comm.size(), comm.ports(), block_bytes,
-        model::effective_two_level(options.hier_machine), options.radix_set,
-        resolve_hier_group(options.hier_group));
+        n, k, block_bytes, model::effective_two_level(options.hier_machine),
+        options.radix_set, resolve_hier_group(options.hier_group));
     if (hmode == HierMode::kOn || choice.hier) {
       HierShape shape;
       shape.group = choice.group;
       shape.inter_radix = choice.inter_radix;
       const CompositePlan cp = CompositePlan::lower_index_hier(
-          comm.size(), comm.ports(), comm.rank(), block_bytes, shape);
-      return cp
-          .run(comm, send, recv, /*op=*/nullptr, options.start_round,
-               pipelined)
+          n, k, comm.rank(), block_bytes, shape);
+      return cp.run(comm, send, recv, /*op=*/nullptr, options.start_round)
           .next_round;
     }
   }
 
-  // Compiled hot path: the tuner's radix and segment choices are part of
-  // the key.  A learned segment force rides the plan as a hint and goes
-  // through the same clamp as a user-requested count.
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  std::int64_t radix = plan.radix;
-  int segments = model::resolve_segment_knob(
-      options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
-                                                      : options.segments,
-      pipelined, machine, plan.predicted);
-
-  // Live adaptive exploration: only for fully tuner-driven calls (no forced
-  // radix or segment count), and only when a tuner installed the hook.  The
-  // decided config — not its clamped resolution — is echoed back with the
-  // measured wall time so the learner can match the arm it scheduled.
-  const bool tuner_driven = plan.algorithm == IndexAlgorithm::kBruck &&
-                            options.radix == 0 && options.segments == 0;
-  model::TunerQuery query{};
-  model::TunerConfig decided{};
-  bool adaptive = false;
-  if (tuner_driven && model::adaptive_hook_installed()) {
-    query = model::make_tuner_query(model::TunedFamily::kIndexRadix,
-                                    comm.size(), comm.ports(), block_bytes,
-                                    machine);
-    model::TunerConfig base;
-    base.radix = radix;
-    base.segments = segments;
-    decided = model::adaptive_decision(query, base);
-    adaptive = true;
-    if (decided.radix > 0) radix = decided.radix;
-    if (decided.segments > 0) segments = decided.segments;
-  }
-
-  double wall_us = 0.0;
-  const int next = run_compiled(
-      comm,
-      index_plan_key(plan.algorithm, comm.size(), comm.ports(), radix,
-                     segments),
-      send, recv, block_bytes, options.start_round, pipelined, {},
-      adaptive ? &wall_us : nullptr);
-  if (adaptive) {
-    model::ExecutionSample sample;
-    sample.query = query;
-    sample.config = decided;
-    sample.wall_us = wall_us;
-    sample.predicted_us = machine.predict_us(plan.predicted);
-    model::notify_execution(sample);
-  }
-  return next;
+  return run_tuned(
+      model::TunedFamily::kIndexRadix, n, k, block_bytes,
+      resolve_alltoall(n, k, block_bytes, options),
+      bruck_family && options.radix == 0 && options.segments == 0,
+      [&](const PlanKey& key, double* wall_out) {
+        return run_compiled(comm, key, wall_out, send, recv, block_bytes,
+                            options.start_round);
+      });
 }
 
 int alltoall_staged(mps::Communicator& comm, std::span<const std::byte> send,
@@ -466,10 +770,8 @@ int alltoall_staged(mps::Communicator& comm, std::span<const std::byte> send,
                     const Layout& recv_layout,
                     const AlltoallOptions& options) {
   const std::int64_t n = comm.size();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
+  const std::int64_t b =
+      check_layouts(send, recv, send_layout, recv_layout, n, n);
   std::vector<std::byte> s(static_cast<std::size_t>(n * b));
   std::vector<std::byte> r(s.size());
   layout_gather_all(send, send_layout, n, s);
@@ -482,15 +784,9 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
              std::span<std::byte> recv, const Layout& send_layout,
              const Layout& recv_layout, const AlltoallOptions& options) {
   const std::int64_t n = comm.size();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(n) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(n),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
+  const std::int64_t b =
+      check_layouts(send, recv, send_layout, recv_layout, n, n);
+  if (both_contiguous(send_layout, recv_layout)) {
     // The degenerate case is the plain call: same plan, same cache key,
     // same zero-copy fast path.
     return alltoall(comm, send.first(static_cast<std::size_t>(n * b)),
@@ -498,33 +794,23 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
   }
   if (options.path == ExecutionPath::kReference) {
     // The inline oracles predate layouts: stage through packed copies so
-    // kReference stays the bitwise cross-check of the zero-copy paths.
+    // kReference stays the bitwise cross-check of the zero-copy path.
     return alltoall_staged(comm, send, recv, send_layout, recv_layout,
                            options);
   }
-  const AlltoallPlan plan = plan_alltoall(n, comm.ports(), b, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
-                                                      : options.segments,
-      pipelined, model::effective_machine(options.machine), plan.predicted);
+  const LayoutPair layouts{&send_layout, &recv_layout};
   return run_compiled(
-      comm,
-      index_plan_key(plan.algorithm, n, comm.ports(), plan.radix, segments,
-                     layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, options.start_round, pipelined,
-      LayoutPair{&send_layout, &recv_layout});
+      comm, resolve_alltoall(n, comm.ports(), b, options, layouts).key,
+      nullptr, send, recv, b, options.start_round, layouts);
 }
 
 int allgather(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, std::int64_t block_bytes,
               const AllgatherOptions& options) {
-  const ConcatAlgorithm algorithm =
-      options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
-                                                  : options.algorithm;
-
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
   if (options.path == ExecutionPath::kReference) {
-    switch (algorithm) {
+    switch (options.algorithm) {
       case ConcatAlgorithm::kFolklore:
         return concat_folklore(comm, send, recv, block_bytes,
                                ConcatFolkloreOptions{options.start_round});
@@ -541,54 +827,36 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
     return options.start_round;
   }
 
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-
   // Hierarchical dispatch (see alltoall).
   const HierMode hmode = resolve_hier_mode(options.hier);
-  if (hier_eligible(hmode, comm.size(), block_bytes,
+  if (hier_eligible(hmode, n, block_bytes,
                     options.algorithm == ConcatAlgorithm::kAuto ||
                         options.algorithm == ConcatAlgorithm::kBruck)) {
     const model::HierChoice choice = model::pick_concat_plan_cached(
-        comm.size(), comm.ports(), block_bytes,
-        model::effective_two_level(options.hier_machine), options.last_round,
-        resolve_hier_group(options.hier_group));
+        n, k, block_bytes, model::effective_two_level(options.hier_machine),
+        options.last_round, resolve_hier_group(options.hier_group));
     if (hmode == HierMode::kOn || choice.hier) {
       HierShape shape;
       shape.group = choice.group;
       shape.strategy = options.last_round;
       const CompositePlan cp = CompositePlan::lower_concat_hier(
-          comm.size(), comm.ports(), comm.rank(), block_bytes, shape);
-      return cp
-          .run(comm, send, recv, /*op=*/nullptr, options.start_round,
-               pipelined)
+          n, k, comm.rank(), block_bytes, shape);
+      return cp.run(comm, send, recv, /*op=*/nullptr, options.start_round)
           .next_round;
     }
   }
 
-  // Canonicalize the last-round strategy so equal geometries share a key
-  // (the same resolution concat_bruck performs internally).
-  const ConcatRecipe recipe = resolve_concat_recipe(
-      comm.size(), comm.ports(), block_bytes, options, pipelined);
-  return run_compiled(comm,
-                      concat_plan_key(recipe.algorithm, comm.size(),
-                                      comm.ports(), recipe.strategy,
-                                      block_bytes, recipe.segments),
-                      send, recv, block_bytes, options.start_round, pipelined);
+  return run_compiled(comm, resolve_allgather(n, k, block_bytes, options).key,
+                      nullptr, send, recv, block_bytes, options.start_round);
 }
 
 int allgather(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, const Layout& send_layout,
               const Layout& recv_layout, const AllgatherOptions& options) {
   const std::int64_t n = comm.size();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(1) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(n),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
+  const std::int64_t b =
+      check_layouts(send, recv, send_layout, recv_layout, 1, n);
+  if (both_contiguous(send_layout, recv_layout)) {
     return allgather(comm, send.first(static_cast<std::size_t>(b)),
                      recv.first(static_cast<std::size_t>(n * b)), b, options);
   }
@@ -600,16 +868,10 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
     layout_scatter_all(recv, recv_layout, n, r);
     return next;
   }
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const ConcatRecipe recipe =
-      resolve_concat_recipe(n, comm.ports(), b, options, pipelined);
+  const LayoutPair layouts{&send_layout, &recv_layout};
   return run_compiled(
-      comm,
-      concat_plan_key(recipe.algorithm, n, comm.ports(), recipe.strategy, b,
-                      recipe.segments,
-                      layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, options.start_round, pipelined,
-      LayoutPair{&send_layout, &recv_layout});
+      comm, resolve_allgather(n, comm.ports(), b, options, layouts).key,
+      nullptr, send, recv, b, options.start_round, layouts);
 }
 
 int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -618,60 +880,8 @@ int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<const std::int64_t> send_displs,
               std::span<const std::int64_t> recv_displs,
               const AlltoallvOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t rank = comm.rank();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
-                    "alltoallv needs the full n*n count matrix");
-
-  // Shape statistics: drive the tuner, the padding stride, and the digest.
-  std::int64_t total = 0;
-  std::int64_t max_pair = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_pair = std::max(max_pair, c);
-  }
-
-  // Empty displacements mean the packed canonical layout.
-  std::vector<std::int64_t> sd_storage;
-  std::vector<std::int64_t> rd_storage;
-  if (send_displs.empty()) {
-    sd_storage = prefix_displs(counts.subspan(
-        static_cast<std::size_t>(rank * n), static_cast<std::size_t>(n)));
-    send_displs = sd_storage;
-  }
-  if (recv_displs.empty()) {
-    std::vector<std::int64_t> col(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      col[static_cast<std::size_t>(i)] =
-          counts[static_cast<std::size_t>(i * n + rank)];
-    }
-    rd_storage = prefix_displs(col);
-    recv_displs = rd_storage;
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(send_displs.size()) == n);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv_displs.size()) == n);
-
-  if (options.path == ExecutionPath::kReference) {
-    return alltoallv_reference(comm, send, recv, counts, send_displs,
-                               recv_displs,
-                               VectorReferenceOptions{options.start_round});
-  }
-
-  // Resolve the algorithm, radix, and predicted measures (the segment
-  // tuner's input) from the shape statistics.
-  const IndexvRecipe recipe =
-      resolve_indexv_recipe(n, k, total, max_pair, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
-  const VectorView view{counts, send_displs, recv_displs, max_pair};
-  return run_compiled_v(comm,
-                        indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
-                                        shape_digest(counts), segments),
-                        send, recv, view, options.start_round, pipelined);
+  return run_alltoallv(comm, send, recv, counts, send_displs, recv_displs,
+                       options, {});
 }
 
 int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -681,101 +891,11 @@ int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<const std::int64_t> recv_displs,
               const Layout& send_layout, const Layout& recv_layout,
               const AlltoallvOptions& options) {
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return alltoallv(comm, send, recv, counts, send_displs, recv_displs,
-                     options);
-  }
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t rank = comm.rank();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
-                    "alltoallv needs the full n*n count matrix");
-
-  std::int64_t total = 0;
-  std::int64_t max_pair = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_pair = std::max(max_pair, c);
-  }
-  BRUCK_REQUIRE_MSG(send_layout.block_bytes() >= max_pair &&
-                        recv_layout.block_bytes() >= max_pair,
-                    "layouts must cover the largest pair count");
-
-  // Empty displacements mean the packed canonical layout in layout space.
-  std::vector<std::int64_t> sd_storage;
-  std::vector<std::int64_t> rd_storage;
-  if (send_displs.empty()) {
-    sd_storage = layout_prefix_displs(
-        send_layout,
-        counts.subspan(static_cast<std::size_t>(rank * n),
-                       static_cast<std::size_t>(n)));
-    send_displs = sd_storage;
-  }
-  std::vector<std::int64_t> col(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    col[static_cast<std::size_t>(i)] =
-        counts[static_cast<std::size_t>(i * n + rank)];
-  }
-  if (recv_displs.empty()) {
-    rd_storage = layout_prefix_displs(recv_layout, col);
-    recv_displs = rd_storage;
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(send_displs.size()) == n);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(recv_displs.size()) == n);
-
-  if (options.path == ExecutionPath::kReference) {
-    // Stage through packed copies around the per-pair oracle.
-    const std::span<const std::int64_t> row = counts.subspan(
-        static_cast<std::size_t>(rank * n), static_cast<std::size_t>(n));
-    const std::vector<std::int64_t> packed_sd = prefix_displs(row);
-    const std::vector<std::int64_t> packed_rd = prefix_displs(col);
-    const std::int64_t row_total =
-        packed_sd.back() + row[static_cast<std::size_t>(n - 1)];
-    const std::int64_t col_total =
-        packed_rd.back() + col[static_cast<std::size_t>(n - 1)];
-    std::vector<std::byte> s(static_cast<std::size_t>(row_total));
-    std::vector<std::byte> r(static_cast<std::size_t>(col_total));
-    for (std::int64_t j = 0; j < n; ++j) {
-      layout_gather(send, send_layout,
-                    send_displs[static_cast<std::size_t>(j)], 0,
-                    row[static_cast<std::size_t>(j)],
-                    std::span<std::byte>(s).subspan(
-                        static_cast<std::size_t>(
-                            packed_sd[static_cast<std::size_t>(j)]),
-                        static_cast<std::size_t>(
-                            row[static_cast<std::size_t>(j)])));
-    }
-    const int next =
-        alltoallv_reference(comm, s, r, counts, packed_sd, packed_rd,
-                            VectorReferenceOptions{options.start_round});
-    for (std::int64_t i = 0; i < n; ++i) {
-      layout_scatter(recv, recv_layout,
-                     recv_displs[static_cast<std::size_t>(i)], 0,
-                     col[static_cast<std::size_t>(i)],
-                     std::span<const std::byte>(r).subspan(
-                         static_cast<std::size_t>(
-                             packed_rd[static_cast<std::size_t>(i)]),
-                         static_cast<std::size_t>(
-                             col[static_cast<std::size_t>(i)])));
-    }
-    return next;
-  }
-
-  const IndexvRecipe recipe =
-      resolve_indexv_recipe(n, k, total, max_pair, options);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      recipe.predicted);
-  const VectorView view{counts, send_displs, recv_displs, max_pair};
-  return run_compiled_v(comm,
-                        indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
-                                        shape_digest(counts), segments,
-                                        layout_digest(&send_layout,
-                                                      &recv_layout)),
-                        send, recv, view, options.start_round, pipelined,
-                        LayoutPair{&send_layout, &recv_layout});
+  return run_alltoallv(
+      comm, send, recv, counts, send_displs, recv_displs, options,
+      both_contiguous(send_layout, recv_layout)
+          ? LayoutPair{}
+          : LayoutPair{&send_layout, &recv_layout});
 }
 
 int allgatherv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -811,36 +931,31 @@ int allgatherv(mps::Communicator& comm, std::span<const std::byte> send,
   const ConcatAlgorithm algorithm =
       options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
                                                   : options.algorithm;
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
+  // Segment tuning sees the mean block (wire messages carry trimmed true
+  // sizes, so the mean is the honest per-message estimate).  Computed for
+  // forced counts too (resolve_segment_knob clamps them against the floor).
+  const std::int64_t b_eff = ceil_div(total, std::max<std::int64_t>(1, n));
   model::CostMetrics predicted;
-  if (pipelined) {
-    // Segment tuning sees the mean block (wire messages carry trimmed true
-    // sizes, so the mean is the honest per-message estimate).  Computed for
-    // forced counts too (resolve_segment_knob clamps them against the floor).
-    const std::int64_t b_eff = n > 0 ? (total + n - 1) / std::max<std::int64_t>(
-                                           1, n)
-                                     : 0;
-    switch (algorithm) {
-      case ConcatAlgorithm::kBruck:
-      case ConcatAlgorithm::kAuto:
-        predicted = model::concat_bruck_cost(
-            n, k, b_eff, model::ConcatLastRound::kColumnGranular);
-        break;
-      case ConcatAlgorithm::kFolklore:
-        predicted = model::concat_folklore_cost(n, b_eff);
-        break;
-      case ConcatAlgorithm::kRing:
-        predicted = model::concat_ring_cost(n, b_eff);
-        break;
-    }
+  switch (algorithm) {
+    case ConcatAlgorithm::kBruck:
+    case ConcatAlgorithm::kAuto:
+      predicted = model::concat_bruck_cost(
+          n, k, b_eff, model::ConcatLastRound::kColumnGranular);
+      break;
+    case ConcatAlgorithm::kFolklore:
+      predicted = model::concat_folklore_cost(n, b_eff);
+      break;
+    case ConcatAlgorithm::kRing:
+      predicted = model::concat_ring_cost(n, b_eff);
+      break;
   }
-  const int segments = model::resolve_segment_knob(
-      options.segments, pipelined, model::effective_machine(options.machine),
-      predicted);
+  const int segments =
+      resolve_segments(options.segments, 0,
+                       model::effective_machine(options.machine), predicted);
   const VectorView view{counts, {}, recv_displs, max_block};
-  return run_compiled_v(
+  return run_compiled(
       comm, concatv_plan_key(algorithm, n, k, shape_digest(counts), segments),
-      send, recv, view, options.start_round, pipelined);
+      nullptr, send, recv, view, options.start_round);
 }
 
 namespace detail {
@@ -888,45 +1003,12 @@ ReducePlanChoice resolve_reduce_algorithm(std::int64_t n, int k,
 
 }  // namespace detail
 
-namespace {
-
-/// run_compiled's reduction twin: fetch/lower the reduce plan and execute
-/// it with the combine operator; the PlanEvent additionally reports the
-/// bytes combined on receive.
-int run_compiled_reduce(mps::Communicator& comm, const PlanKey& key,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, std::int64_t block_bytes,
-                        const ReduceOp& op, int start_round, bool pipelined,
-                        const LayoutPair& layouts = {},
-                        double* wall_out = nullptr) {
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
-  const auto start = std::chrono::steady_clock::now();
-  const PlanExecution ex =
-      pipelined
-          ? lookup.plan->run_pipelined(comm, send, recv, block_bytes, op,
-                                       start_round, layouts)
-          : lookup.plan->run(comm, send, recv, block_bytes, op, start_round,
-                             layouts);
-  const double wall_us = wall_since_us(start);
-  mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
-                       ex.bytes_sent, ex.bytes_reduced};
-  event.wall_us = wall_us;
-  comm.record_plan_event(event);
-  if (wall_out != nullptr) *wall_out = wall_us;
-  return ex.next_round;
-}
-
-}  // namespace
-
 int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, std::int64_t block_bytes,
                    const ReduceOp& op, const ReduceScatterOptions& options) {
   const std::int64_t n = comm.size();
   const int k = comm.ports();
-  BRUCK_REQUIRE(block_bytes >= 0);
-  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 &&
-                        block_bytes % op.elem_bytes() == 0,
-                    "block size must be a whole number of op elements");
+  check_whole_elems(block_bytes, op);
 
   if (options.path == ExecutionPath::kReference) {
     return reduce_scatter_reference(
@@ -934,13 +1016,11 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
         ReduceReferenceOptions{options.start_round});
   }
 
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-
   // Hierarchical dispatch (see alltoall).
+  const bool bruck_family = options.algorithm == ReduceAlgorithm::kAuto ||
+                            options.algorithm == ReduceAlgorithm::kBruck;
   const HierMode hmode = resolve_hier_mode(options.hier);
-  if (hier_eligible(hmode, n, block_bytes,
-                    options.algorithm == ReduceAlgorithm::kAuto ||
-                        options.algorithm == ReduceAlgorithm::kBruck)) {
+  if (hier_eligible(hmode, n, block_bytes, bruck_family)) {
     const model::HierChoice hier_choice = model::pick_reduce_plan_cached(
         n, k, block_bytes, model::effective_two_level(options.hier_machine),
         options.radix_set, resolve_hier_group(options.hier_group));
@@ -950,55 +1030,21 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
       shape.inter_radix = hier_choice.inter_radix;
       const CompositePlan cp = CompositePlan::lower_reduce_hier(
           n, k, comm.rank(), block_bytes, op, shape);
-      return cp.run(comm, send, recv, &op, options.start_round, pipelined)
-          .next_round;
+      return cp.run(comm, send, recv, &op, options.start_round).next_round;
     }
   }
 
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, block_bytes, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  std::int64_t radix = choice.radix;
-  int segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      pipelined, machine, choice.predicted);
-
-  // Live adaptive exploration (see alltoall): tuner-driven Bruck calls only.
-  const bool tuner_driven = choice.algorithm == ReduceAlgorithm::kBruck &&
-                            (options.algorithm == ReduceAlgorithm::kAuto ||
-                             options.algorithm == ReduceAlgorithm::kBruck) &&
-                            options.radix == 0 && options.segments == 0;
-  model::TunerQuery query{};
-  model::TunerConfig decided{};
-  bool adaptive = false;
-  if (tuner_driven && model::adaptive_hook_installed()) {
-    query = model::make_tuner_query(model::TunedFamily::kReduceScatter, n, k,
-                                    block_bytes, machine);
-    model::TunerConfig base;
-    base.radix = radix;
-    base.segments = segments;
-    decided = model::adaptive_decision(query, base);
-    adaptive = true;
-    if (decided.radix > 0) radix = decided.radix;
-    if (decided.segments > 0) segments = decided.segments;
-  }
-
-  double wall_us = 0.0;
-  const int next = run_compiled_reduce(
-      comm, reduce_plan_key(choice.algorithm, n, k, radix, op, segments),
-      send, recv, block_bytes, op, options.start_round, pipelined, {},
-      adaptive ? &wall_us : nullptr);
-  if (adaptive) {
-    model::ExecutionSample sample;
-    sample.query = query;
-    sample.config = decided;
-    sample.wall_us = wall_us;
-    sample.predicted_us = machine.predict_reduce_us(choice.predicted);
-    model::notify_execution(sample);
-  }
-  return next;
+  // Live adaptive exploration (see run_tuned): tuner-driven Bruck calls
+  // only — kAuto may still resolve to direct.
+  const Recipe r = resolve_reduce_scatter(n, k, block_bytes, op, options);
+  return run_tuned(
+      model::TunedFamily::kReduceScatter, n, k, block_bytes, r,
+      r.key.algorithm == static_cast<std::uint8_t>(ReduceAlgorithm::kBruck) &&
+          bruck_family && options.radix == 0 && options.segments == 0,
+      [&](const PlanKey& key, double* wall_out) {
+        return run_compiled(comm, key, wall_out, send, recv, block_bytes, op,
+                            options.start_round);
+      });
 }
 
 int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1006,22 +1052,14 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
                    const Layout& recv_layout, const ReduceOp& op,
                    const ReduceScatterOptions& options) {
   const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 && b % op.elem_bytes() == 0,
-                    "block size must be a whole number of op elements");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(n) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(1),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
+  const std::int64_t b =
+      check_layouts(send, recv, send_layout, recv_layout, n, 1);
+  if (both_contiguous(send_layout, recv_layout)) {
     return reduce_scatter(comm, send.first(static_cast<std::size_t>(n * b)),
                           recv.first(static_cast<std::size_t>(b)), b, op,
                           options);
   }
+  check_whole_elems(b, op);
   if (options.path == ExecutionPath::kReference) {
     std::vector<std::byte> s(static_cast<std::size_t>(n * b));
     std::vector<std::byte> r(static_cast<std::size_t>(b));
@@ -1030,99 +1068,38 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
     layout_scatter(recv, recv_layout, 0, 0, b, r);
     return next;
   }
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, b, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const bool pipelined = options.path == ExecutionPath::kPipelined;
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      pipelined, model::effective_machine(options.machine), choice.predicted);
-  return run_compiled_reduce(
+  const LayoutPair layouts{&send_layout, &recv_layout};
+  return run_compiled(
       comm,
-      reduce_plan_key(choice.algorithm, n, k, choice.radix, op, segments,
-                      layout_digest(&send_layout, &recv_layout)),
-      send, recv, b, op, options.start_round, pipelined,
-      LayoutPair{&send_layout, &recv_layout});
+      resolve_reduce_scatter(n, comm.ports(), b, op, options, layouts).key,
+      nullptr, send, recv, b, op, options.start_round, layouts);
 }
 
 int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, const ReduceOp& op,
               const AllreduceOptions& options) {
-  const std::int64_t n = comm.size();
   const std::int64_t bytes = static_cast<std::int64_t>(send.size());
-  const std::int64_t ew = op.elem_bytes();
   BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == bytes);
-  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
-                    "payload must be a whole number of op elements");
-
+  check_whole_elems(bytes, op);
   if (options.path == ExecutionPath::kReference) {
     return allreduce_reference(comm, send, recv, op,
                                ReduceReferenceOptions{options.start_round});
   }
-
-  // Reduce-scatter over ⌈elems/n⌉-element blocks, then allgather the
-  // reduced blocks.  The tail block is zero-padded identically on every
-  // rank; padded results are combined but never copied back.
-  const std::int64_t elems = bytes / ew;
-  const std::int64_t block_elems = n > 0 ? ceil_div(elems, n) : 0;
-  const std::int64_t b = block_elems * ew;
-
-  std::vector<std::byte> padded(static_cast<std::size_t>(n * b),
-                                std::byte{0});
-  if (bytes > 0) {
-    std::memcpy(padded.data(), send.data(), static_cast<std::size_t>(bytes));
-  }
-  std::vector<std::byte> reduced(static_cast<std::size_t>(b));
-
-  ReduceScatterOptions rs;
-  rs.algorithm = options.algorithm;
-  rs.radix = options.radix;
-  rs.machine = options.machine;
-  rs.radix_set = options.radix_set;
-  rs.start_round = options.start_round;
-  rs.path = options.path;
-  rs.segments = options.segments;
-  const int after_reduce = reduce_scatter(comm, padded, reduced, b, op, rs);
-
-  std::vector<std::byte> gathered(static_cast<std::size_t>(n * b));
-  AllgatherOptions ag;
-  ag.algorithm = options.concat;
-  ag.machine = options.machine;
-  ag.start_round = after_reduce;
-  ag.path = options.path;
-  ag.segments = options.segments;
-  const int next = allgather(comm, reduced, gathered, b, ag);
-
-  if (bytes > 0) {
-    std::memcpy(recv.data(), gathered.data(),
-                static_cast<std::size_t>(bytes));
-  }
-  return next;
+  return run_allreduce(comm, send, recv, bytes, op, options, {});
 }
 
 int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv, const Layout& send_layout,
               const Layout& recv_layout, const ReduceOp& op,
               const AllreduceOptions& options) {
-  const std::int64_t n = comm.size();
-  const std::int64_t bytes = send_layout.block_bytes();
-  const std::int64_t ew = op.elem_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == bytes,
-                    "send and recv layouts must carry the same logical "
-                    "payload size");
-  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
-                    "payload must be a whole number of op elements");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(1) &&
-          static_cast<std::int64_t>(recv.size()) >=
-              recv_layout.span_bytes(1),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
+  const std::int64_t bytes =
+      check_layouts(send, recv, send_layout, recv_layout, 1, 1);
+  if (both_contiguous(send_layout, recv_layout)) {
     return allreduce(comm, send.first(static_cast<std::size_t>(bytes)),
                      recv.first(static_cast<std::size_t>(bytes)), op,
                      options);
   }
+  check_whole_elems(bytes, op);
   if (options.path == ExecutionPath::kReference) {
     std::vector<std::byte> s(static_cast<std::size_t>(bytes));
     std::vector<std::byte> r(static_cast<std::size_t>(bytes));
@@ -1132,78 +1109,25 @@ int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
     layout_scatter(recv, recv_layout, 0, 0, bytes, r);
     return next;
   }
-
-  // The padded block decomposition inherently stages the payload; the
-  // layouts replace the staging memcpys rather than adding copies — the
-  // gather into the padded scratch walks send_layout, the final scatter
-  // walks recv_layout, and the wire stages run contiguous (no layout
-  // digest in their keys).
-  const std::int64_t elems = bytes / ew;
-  const std::int64_t block_elems = n > 0 ? ceil_div(elems, n) : 0;
-  const std::int64_t b = block_elems * ew;
-
-  std::vector<std::byte> padded(static_cast<std::size_t>(n * b),
-                                std::byte{0});
-  layout_gather(send, send_layout, 0, 0, bytes,
-                std::span<std::byte>(padded).first(
-                    static_cast<std::size_t>(bytes)));
-  std::vector<std::byte> reduced(static_cast<std::size_t>(b));
-
-  ReduceScatterOptions rs;
-  rs.algorithm = options.algorithm;
-  rs.radix = options.radix;
-  rs.machine = options.machine;
-  rs.radix_set = options.radix_set;
-  rs.start_round = options.start_round;
-  rs.path = options.path;
-  rs.segments = options.segments;
-  const int after_reduce = reduce_scatter(comm, padded, reduced, b, op, rs);
-
-  std::vector<std::byte> gathered(static_cast<std::size_t>(n * b));
-  AllgatherOptions ag;
-  ag.algorithm = options.concat;
-  ag.machine = options.machine;
-  ag.start_round = after_reduce;
-  ag.path = options.path;
-  ag.segments = options.segments;
-  const int next = allgather(comm, reduced, gathered, b, ag);
-
-  layout_scatter(recv, recv_layout, 0, 0, bytes,
-                 std::span<const std::byte>(gathered).first(
-                     static_cast<std::size_t>(bytes)));
-  return next;
+  return run_allreduce(comm, send, recv, bytes, op, options,
+                       LayoutPair{&send_layout, &recv_layout});
 }
 
 // -- Nonblocking entry points ----------------------------------------------
 //
-// Each i* twin runs exactly the blocking facade's resolution — tuner, radix,
-// last-round strategy, segment knob — and hands the finished recipe to the
-// communicator's progress engine instead of executing it.  The engine owns
-// scheduling from there (lazy start, tag allocation, fusion); see
-// progress.hpp.
+// Each i* twin runs its family's resolver — the one its blocking twin runs
+// — and hands the finished recipe to the communicator's progress engine
+// instead of executing it.  The engine owns scheduling from there (lazy
+// start, tag allocation, fusion); see progress.hpp.
 
 Request ialltoall(mps::Communicator& comm, std::span<const std::byte> send,
                   std::span<std::byte> recv, std::int64_t block_bytes,
                   const AlltoallOptions& options) {
-  const AlltoallPlan plan =
-      plan_alltoall(comm.size(), comm.ports(), block_bytes, options);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
-                                                      : options.segments,
-      /*pipelined=*/true, machine, plan.predicted);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAlltoall;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = block_bytes;
-  spec.key = index_plan_key(plan.algorithm, comm.size(), comm.ports(),
-                            plan.radix, segments);
-  spec.predicted = plan.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(
+      make_spec(OpSpec::Family::kAlltoall, send, recv, block_bytes,
+                resolve_alltoall(comm.size(), comm.ports(), block_bytes,
+                                 options),
+                options, {}));
 }
 
 Request ialltoall(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1211,61 +1135,27 @@ Request ialltoall(mps::Communicator& comm, std::span<const std::byte> send,
                   const Layout& recv_layout,
                   const AlltoallOptions& options) {
   const std::int64_t n = comm.size();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(n) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(n),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
+  const std::int64_t b =
+      check_layouts(send, recv, send_layout, recv_layout, n, n);
+  if (both_contiguous(send_layout, recv_layout)) {
     return ialltoall(comm, send.first(static_cast<std::size_t>(n * b)),
                      recv.first(static_cast<std::size_t>(n * b)), b, options);
   }
-  const AlltoallPlan plan = plan_alltoall(n, comm.ports(), b, options);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && plan.segments_hint > 0 ? plan.segments_hint
-                                                      : options.segments,
-      /*pipelined=*/true, machine, plan.predicted);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAlltoall;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = b;
-  spec.key = index_plan_key(plan.algorithm, n, comm.ports(), plan.radix,
-                            segments,
-                            layout_digest(&send_layout, &recv_layout));
-  spec.predicted = plan.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.send_layout = send_layout;
-  spec.recv_layout = recv_layout;
-  spec.has_layout = true;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  const LayoutPair layouts{&send_layout, &recv_layout};
+  return ProgressEngine::for_comm(comm).submit(
+      make_spec(OpSpec::Family::kAlltoall, send, recv, b,
+                resolve_alltoall(n, comm.ports(), b, options, layouts),
+                options, layouts));
 }
 
 Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, std::int64_t block_bytes,
                    const AllgatherOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const ConcatRecipe recipe =
-      resolve_concat_recipe(n, k, block_bytes, options, /*pipelined=*/true);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAllgather;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = block_bytes;
-  spec.key = concat_plan_key(recipe.algorithm, n, k, recipe.strategy,
-                             block_bytes, recipe.segments);
-  spec.predicted = recipe.predicted;
-  spec.machine = model::effective_machine(options.machine);
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return ProgressEngine::for_comm(comm).submit(
+      make_spec(OpSpec::Family::kAllgather, send, recv, block_bytes,
+                resolve_allgather(comm.size(), comm.ports(), block_bytes,
+                                  options),
+                options, {}));
 }
 
 Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1273,37 +1163,18 @@ Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
                    const Layout& recv_layout,
                    const AllgatherOptions& options) {
   const std::int64_t n = comm.size();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(1) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(n),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
+  const std::int64_t b =
+      check_layouts(send, recv, send_layout, recv_layout, 1, n);
+  if (both_contiguous(send_layout, recv_layout)) {
     return iallgather(comm, send.first(static_cast<std::size_t>(b)),
                       recv.first(static_cast<std::size_t>(n * b)), b,
                       options);
   }
-  const ConcatRecipe recipe =
-      resolve_concat_recipe(n, comm.ports(), b, options, /*pipelined=*/true);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAllgather;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = b;
-  spec.key = concat_plan_key(recipe.algorithm, n, comm.ports(),
-                             recipe.strategy, b, recipe.segments,
-                             layout_digest(&send_layout, &recv_layout));
-  spec.predicted = recipe.predicted;
-  spec.machine = model::effective_machine(options.machine);
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.send_layout = send_layout;
-  spec.recv_layout = recv_layout;
-  spec.has_layout = true;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  const LayoutPair layouts{&send_layout, &recv_layout};
+  return ProgressEngine::for_comm(comm).submit(
+      make_spec(OpSpec::Family::kAllgather, send, recv, b,
+                resolve_allgather(n, comm.ports(), b, options, layouts),
+                options, layouts));
 }
 
 Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1312,60 +1183,8 @@ Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<const std::int64_t> send_displs,
                    std::span<const std::int64_t> recv_displs,
                    const AlltoallvOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t rank = comm.rank();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
-                    "ialltoallv needs the full n*n count matrix");
-
-  std::int64_t total = 0;
-  std::int64_t max_pair = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_pair = std::max(max_pair, c);
-  }
-
-  // The engine outlives the caller's tables: own every shape vector
-  // (empty displacements mean the packed canonical layout, as in the
-  // blocking twin).
-  OpSpec spec;
-  spec.counts.assign(counts.begin(), counts.end());
-  if (send_displs.empty()) {
-    spec.send_displs = prefix_displs(counts.subspan(
-        static_cast<std::size_t>(rank * n), static_cast<std::size_t>(n)));
-  } else {
-    spec.send_displs.assign(send_displs.begin(), send_displs.end());
-  }
-  if (recv_displs.empty()) {
-    std::vector<std::int64_t> col(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      col[static_cast<std::size_t>(i)] =
-          counts[static_cast<std::size_t>(i * n + rank)];
-    }
-    spec.recv_displs = prefix_displs(col);
-  } else {
-    spec.recv_displs.assign(recv_displs.begin(), recv_displs.end());
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.send_displs.size()) == n);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.recv_displs.size()) == n);
-
-  const IndexvRecipe recipe =
-      resolve_indexv_recipe(n, k, total, max_pair, options);
-  const int segments = model::resolve_segment_knob(
-      options.segments, /*pipelined=*/true,
-      model::effective_machine(options.machine), recipe.predicted);
-  spec.family = OpSpec::Family::kAlltoallv;
-  spec.send = send;
-  spec.recv = recv;
-  spec.key = indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
-                             shape_digest(counts), segments);
-  spec.predicted = recipe.predicted;
-  spec.machine = model::effective_machine(options.machine);
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.pad_bytes = max_pair;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return submit_ialltoallv(comm, send, recv, counts, send_displs, recv_displs,
+                           options, {});
 }
 
 Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1375,70 +1194,11 @@ Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<const std::int64_t> recv_displs,
                    const Layout& send_layout, const Layout& recv_layout,
                    const AlltoallvOptions& options) {
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
-    return ialltoallv(comm, send, recv, counts, send_displs, recv_displs,
-                      options);
-  }
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t rank = comm.rank();
-  BRUCK_REQUIRE_MSG(static_cast<std::int64_t>(counts.size()) == n * n,
-                    "ialltoallv needs the full n*n count matrix");
-
-  std::int64_t total = 0;
-  std::int64_t max_pair = 0;
-  for (const std::int64_t c : counts) {
-    BRUCK_REQUIRE_MSG(c >= 0, "counts must be non-negative");
-    total += c;
-    max_pair = std::max(max_pair, c);
-  }
-  BRUCK_REQUIRE_MSG(send_layout.block_bytes() >= max_pair &&
-                        recv_layout.block_bytes() >= max_pair,
-                    "layouts must cover the largest pair count");
-
-  OpSpec spec;
-  spec.counts.assign(counts.begin(), counts.end());
-  if (send_displs.empty()) {
-    spec.send_displs = layout_prefix_displs(
-        send_layout,
-        counts.subspan(static_cast<std::size_t>(rank * n),
-                       static_cast<std::size_t>(n)));
-  } else {
-    spec.send_displs.assign(send_displs.begin(), send_displs.end());
-  }
-  if (recv_displs.empty()) {
-    std::vector<std::int64_t> col(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      col[static_cast<std::size_t>(i)] =
-          counts[static_cast<std::size_t>(i * n + rank)];
-    }
-    spec.recv_displs = layout_prefix_displs(recv_layout, col);
-  } else {
-    spec.recv_displs.assign(recv_displs.begin(), recv_displs.end());
-  }
-  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.send_displs.size()) == n);
-  BRUCK_REQUIRE(static_cast<std::int64_t>(spec.recv_displs.size()) == n);
-
-  const IndexvRecipe recipe =
-      resolve_indexv_recipe(n, k, total, max_pair, options);
-  const int segments = model::resolve_segment_knob(
-      options.segments, /*pipelined=*/true,
-      model::effective_machine(options.machine), recipe.predicted);
-  spec.family = OpSpec::Family::kAlltoallv;
-  spec.send = send;
-  spec.recv = recv;
-  spec.key = indexv_plan_key(recipe.algorithm, n, k, recipe.radix,
-                             shape_digest(counts), segments,
-                             layout_digest(&send_layout, &recv_layout));
-  spec.predicted = recipe.predicted;
-  spec.machine = model::effective_machine(options.machine);
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.pad_bytes = max_pair;
-  spec.send_layout = send_layout;
-  spec.recv_layout = recv_layout;
-  spec.has_layout = true;
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
+  return submit_ialltoallv(
+      comm, send, recv, counts, send_displs, recv_displs, options,
+      both_contiguous(send_layout, recv_layout)
+          ? LayoutPair{}
+          : LayoutPair{&send_layout, &recv_layout});
 }
 
 Request ireduce_scatter(mps::Communicator& comm,
@@ -1446,30 +1206,12 @@ Request ireduce_scatter(mps::Communicator& comm,
                         std::span<std::byte> recv, std::int64_t block_bytes,
                         const ReduceOp& op,
                         const ReduceScatterOptions& options) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  BRUCK_REQUIRE(block_bytes >= 0);
-  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 && block_bytes % op.elem_bytes() == 0,
-                    "block size must be a whole number of op elements");
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, block_bytes, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      /*pipelined=*/true, machine, choice.predicted);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kReduceScatter;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = block_bytes;
-  spec.key =
-      reduce_plan_key(choice.algorithm, n, k, choice.radix, op, segments);
-  spec.predicted = choice.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
+  check_whole_elems(block_bytes, op);
+  OpSpec spec = make_spec(
+      OpSpec::Family::kReduceScatter, send, recv, block_bytes,
+      resolve_reduce_scatter(comm.size(), comm.ports(), block_bytes, op,
+                             options),
+      options, {});
   spec.op = op;
   return ProgressEngine::for_comm(comm).submit(std::move(spec));
 }
@@ -1480,163 +1222,46 @@ Request ireduce_scatter(mps::Communicator& comm,
                         const Layout& recv_layout, const ReduceOp& op,
                         const ReduceScatterOptions& options) {
   const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t b = send_layout.block_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == b,
-                    "send and recv layouts must carry the same logical "
-                    "block size");
-  BRUCK_REQUIRE_MSG(op.elem_bytes() >= 1 && b % op.elem_bytes() == 0,
-                    "block size must be a whole number of op elements");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(n) &&
-          static_cast<std::int64_t>(recv.size()) >= recv_layout.span_bytes(1),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
+  const std::int64_t b =
+      check_layouts(send, recv, send_layout, recv_layout, n, 1);
+  if (both_contiguous(send_layout, recv_layout)) {
     return ireduce_scatter(comm, send.first(static_cast<std::size_t>(n * b)),
                            recv.first(static_cast<std::size_t>(b)), b, op,
                            options);
   }
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, b, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      /*pipelined=*/true, machine, choice.predicted);
-  OpSpec spec;
-  spec.family = OpSpec::Family::kReduceScatter;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = b;
-  spec.key = reduce_plan_key(choice.algorithm, n, k, choice.radix, op,
-                             segments,
-                             layout_digest(&send_layout, &recv_layout));
-  spec.predicted = choice.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
+  check_whole_elems(b, op);
+  const LayoutPair layouts{&send_layout, &recv_layout};
+  OpSpec spec = make_spec(
+      OpSpec::Family::kReduceScatter, send, recv, b,
+      resolve_reduce_scatter(n, comm.ports(), b, op, options, layouts),
+      options, layouts);
   spec.op = op;
-  spec.send_layout = send_layout;
-  spec.recv_layout = recv_layout;
-  spec.has_layout = true;
   return ProgressEngine::for_comm(comm).submit(std::move(spec));
 }
-
-namespace {
-
-/// The shared tail of both iallreduce overloads: resolve the two-stage
-/// recipe for a `bytes`-byte logical payload and submit the spec (layouts,
-/// when present, only steer the engine's staging copies — the wire stages
-/// run contiguous, so neither stage key carries a layout digest).
-Request submit_iallreduce(mps::Communicator& comm,
-                          std::span<const std::byte> send,
-                          std::span<std::byte> recv, std::int64_t bytes,
-                          const ReduceOp& op, const AllreduceOptions& options,
-                          const Layout* send_layout,
-                          const Layout* recv_layout) {
-  const std::int64_t n = comm.size();
-  const int k = comm.ports();
-  const std::int64_t ew = op.elem_bytes();
-
-  // Same two-stage decomposition as the blocking twin, but both stages are
-  // resolved up front: the engine chains the allgather after the
-  // reduce-scatter inside one tag namespace.
-  const std::int64_t elems = bytes / ew;
-  const std::int64_t block_elems = n > 0 ? ceil_div(elems, n) : 0;
-  const std::int64_t b = block_elems * ew;
-
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, b, options.algorithm, options.radix, options.machine,
-      options.radix_set);
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  const int rs_segments = model::resolve_segment_knob(
-      options.segments == 0 && choice.segments_hint > 0 ? choice.segments_hint
-                                                        : options.segments,
-      /*pipelined=*/true, machine, choice.predicted);
-
-  const ConcatAlgorithm concat =
-      options.concat == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
-                                               : options.concat;
-  const model::ConcatLastRound strategy =
-      concat == ConcatAlgorithm::kBruck
-          ? model::resolve_concat_last_round(n, k, b,
-                                             model::ConcatLastRound::kAuto)
-          : model::ConcatLastRound::kAuto;
-  model::CostMetrics concat_predicted;
-  switch (concat) {
-    case ConcatAlgorithm::kBruck:
-    case ConcatAlgorithm::kAuto:
-      concat_predicted = model::concat_bruck_cost(n, k, b, strategy);
-      break;
-    case ConcatAlgorithm::kFolklore:
-      concat_predicted = model::concat_folklore_cost(n, b);
-      break;
-    case ConcatAlgorithm::kRing:
-      concat_predicted = model::concat_ring_cost(n, b);
-      break;
-  }
-  const int ag_segments = model::resolve_segment_knob(
-      options.segments, /*pipelined=*/true, machine, concat_predicted);
-
-  OpSpec spec;
-  spec.family = OpSpec::Family::kAllreduce;
-  spec.send = send;
-  spec.recv = recv;
-  spec.block_bytes = b;
-  spec.key =
-      reduce_plan_key(choice.algorithm, n, k, choice.radix, op, rs_segments);
-  spec.concat_key = concat_plan_key(concat, n, k, strategy, b, ag_segments);
-  spec.predicted = choice.predicted;
-  spec.machine = machine;
-  spec.requested_segments = options.segments;
-  spec.start_round = options.start_round;
-  spec.op = op;
-  if (send_layout != nullptr) {
-    spec.send_layout = *send_layout;
-    spec.recv_layout = *recv_layout;
-    spec.has_layout = true;
-  }
-  return ProgressEngine::for_comm(comm).submit(std::move(spec));
-}
-
-}  // namespace
 
 Request iallreduce(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, const ReduceOp& op,
                    const AllreduceOptions& options) {
   const std::int64_t bytes = static_cast<std::int64_t>(send.size());
-  const std::int64_t ew = op.elem_bytes();
   BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == bytes);
-  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
-                    "payload must be a whole number of op elements");
-  return submit_iallreduce(comm, send, recv, bytes, op, options, nullptr,
-                           nullptr);
+  check_whole_elems(bytes, op);
+  return submit_iallreduce(comm, send, recv, bytes, op, options, {});
 }
 
 Request iallreduce(mps::Communicator& comm, std::span<const std::byte> send,
                    std::span<std::byte> recv, const Layout& send_layout,
                    const Layout& recv_layout, const ReduceOp& op,
                    const AllreduceOptions& options) {
-  const std::int64_t bytes = send_layout.block_bytes();
-  const std::int64_t ew = op.elem_bytes();
-  BRUCK_REQUIRE_MSG(recv_layout.block_bytes() == bytes,
-                    "send and recv layouts must carry the same logical "
-                    "payload size");
-  BRUCK_REQUIRE_MSG(ew >= 1 && bytes % ew == 0,
-                    "payload must be a whole number of op elements");
-  BRUCK_REQUIRE_MSG(
-      static_cast<std::int64_t>(send.size()) >= send_layout.span_bytes(1) &&
-          static_cast<std::int64_t>(recv.size()) >=
-              recv_layout.span_bytes(1),
-      "buffers must cover the layouts' physical span");
-  if (send_layout.is_contiguous() && recv_layout.is_contiguous()) {
+  const std::int64_t bytes =
+      check_layouts(send, recv, send_layout, recv_layout, 1, 1);
+  if (both_contiguous(send_layout, recv_layout)) {
     return iallreduce(comm, send.first(static_cast<std::size_t>(bytes)),
                       recv.first(static_cast<std::size_t>(bytes)), op,
                       options);
   }
+  check_whole_elems(bytes, op);
   return submit_iallreduce(comm, send, recv, bytes, op, options,
-                           &send_layout, &recv_layout);
+                           LayoutPair{&send_layout, &recv_layout});
 }
 
 int broadcast(mps::Communicator& comm, std::int64_t root,

@@ -34,17 +34,15 @@ enum class ConcatAlgorithm {
 
 /// How the facade executes a collective.
 enum class ExecutionPath {
-  /// Lower (or fetch from the PlanCache) a compiled plan and run it with
-  /// the blocking round-by-round executor: zero planning work on repeated
-  /// same-geometry calls, zero-copy wire paths where the pattern allows.
-  kCompiled,
   /// The original inline implementations that re-derive the pattern per
-  /// call.  Kept as the cross-check oracle: tests assert the compiled
-  /// paths and kReference produce identical results and traces.
+  /// call.  Kept as the cross-check oracle: tests assert the compiled path
+  /// and kReference produce identical results and traces.
   kReference,
-  /// Compiled plan + the pipelined executor over the nonblocking port
-  /// engine: round overlap where proven safe, eager out-of-order receive
-  /// completion, optional wire segmentation.  The default hot path.
+  /// Lower (or fetch from the PlanCache) a compiled plan and run it with
+  /// the plan executor over the nonblocking port engine: zero planning work
+  /// on repeated same-geometry calls, zero-copy wire paths where the
+  /// pattern allows, round overlap where proven safe, eager out-of-order
+  /// receive completion, optional wire segmentation.  The default.
   kPipelined,
 };
 
@@ -93,9 +91,9 @@ struct AlltoallOptions {
   model::RadixSet radix_set = model::RadixSet::kAll;
   int start_round = 0;
   ExecutionPath path = ExecutionPath::kPipelined;
-  /// Wire segments per message under kPipelined: 0 tunes under `machine`
+  /// Wire segments per message: 0 tunes under `machine`
   /// (model::pick_segment_count), 1 disables segmentation, S > 1 forces S.
-  /// Ignored by the other paths.
+  /// Ignored by kReference.
   int segments = 0;
   /// Hierarchical (two-level leader-model) execution; see HierMode.
   HierMode hier = HierMode::kDefault;
@@ -111,7 +109,7 @@ struct AlltoallOptions {
 struct AllgatherOptions {
   ConcatAlgorithm algorithm = ConcatAlgorithm::kAuto;
   model::ConcatLastRound last_round = model::ConcatLastRound::kAuto;
-  /// Machine profile for segment-count tuning under kPipelined.
+  /// Machine profile for segment-count tuning.
   model::LinearModel machine = model::ibm_sp1();
   int start_round = 0;
   ExecutionPath path = ExecutionPath::kPipelined;
@@ -143,9 +141,8 @@ struct AlltoallPlan {
 /// destined for rank j.  `recv`: n blocks, block i from rank i.
 /// Returns the next free round index.
 ///
-/// Blocking: returns once all of this rank's receives have landed (under
-/// kPipelined, posts overlap internally but the call itself is
-/// synchronous).  Thread safety: SPMD — one call per rank thread with
+/// Blocking: returns once all of this rank's receives have landed (posts
+/// overlap internally but the call itself is synchronous).  Thread safety: SPMD — one call per rank thread with
 /// rank-local buffers; the PlanCache and tuner memos behind it are
 /// process-global and thread-safe.  Trace: one send event per nonzero
 /// message at its round, plus one PlanEvent per compiled execution.
@@ -156,7 +153,7 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
 /// Strided-datatype alltoall.  Each logical block (block size =
 /// send_layout.block_bytes(), which must equal recv_layout's) maps onto the
 /// caller buffer through its layout; block j's origin is
-/// j · layout.block_stride().  The compiled executors walk the layout's
+/// j · layout.block_stride().  The plan executor walks the layout's
 /// byte extents directly between the user buffers and the wire — no
 /// staging copy in either direction — and an is_contiguous() layout
 /// behaves (and caches) exactly like the plain overload.  Buffers must
@@ -223,7 +220,7 @@ struct AlltoallvOptions {
 /// (prefix sums of this rank's matrix row / column).  Blocks must not
 /// overlap; zero-count pairs never touch the fabric.  Blocks until this
 /// rank's receives have landed; records one trace send event per nonzero
-/// message plus one PlanEvent on the compiled paths.  Returns the next
+/// message plus one PlanEvent on the compiled path.  Returns the next
 /// free round index.
 int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
               std::span<std::byte> recv,
@@ -312,8 +309,8 @@ struct ReduceScatterOptions {
 /// block_bytes must be a multiple of op.elem_bytes().  Returns the next
 /// free round index.
 ///
-/// Blocking: returns once this rank's reduction is complete (under
-/// kPipelined the combine is fused into the out-of-order completion path).
+/// Blocking: returns once this rank's reduction is complete (the combine is
+/// fused into the out-of-order completion path).
 /// Thread safety: SPMD as alltoall.  Trace: one send event per nonzero
 /// message at its round, plus one PlanEvent (with bytes_reduced) per
 /// compiled execution.
@@ -402,9 +399,9 @@ int scatter(mps::Communicator& comm, std::int64_t root,
             std::int64_t block_bytes, const RootedOptions& options = {});
 
 // ---------------------------------------------------------------------------
-// Nonblocking collectives.  Each i* call resolves the same execution recipe
-// as its blocking twin (tuner, radix, wire segments) but — instead of
-// running it — submits the operation to the communicator's ProgressEngine
+// Nonblocking collectives.  Each i* call runs the same option resolver as
+// its blocking twin (tuner, radix, wire segments — one resolver per family,
+// so both key the same cached plan) but — instead of running it — submits the operation to the communicator's ProgressEngine
 // (progress.hpp) and returns a Request handle immediately.  The operation
 // starts lazily at the first test()/wait() on any request of the
 // communicator, so several submitted-together same-shape operations can be
@@ -414,7 +411,7 @@ int scatter(mps::Communicator& comm, std::int64_t root,
 // reference):
 //  - Buffers (and, for reductions, nothing else: the ReduceOp is copied)
 //    must stay valid and untouched until the request completes.
-//  - Execution always uses the compiled pipelined path; `options.path` is
+//  - Execution always uses the compiled plan executor; `options.path` is
 //    ignored (there is no nonblocking reference oracle).
 //  - Each operation runs in its own port-namespace tag on communicators
 //    with a native port engine, so any number of requests may be in flight

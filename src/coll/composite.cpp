@@ -99,14 +99,10 @@ namespace {
 PlanExecution run_stage_plan(const CompositeStage& st, mps::Communicator& comm,
                              std::span<const std::byte> in,
                              std::span<std::byte> out, std::int64_t stage_block,
-                             const ReduceOp* op, int base, bool pipelined) {
-  if (st.reducing) {
-    return pipelined
-               ? st.plan->run_pipelined(comm, in, out, stage_block, *op, base)
-               : st.plan->run(comm, in, out, stage_block, *op, base);
-  }
-  return pipelined ? st.plan->run_pipelined(comm, in, out, stage_block, base)
-                   : st.plan->run(comm, in, out, stage_block, base);
+                             const ReduceOp* op, int base) {
+  return st.reducing
+             ? st.plan->run_pipelined(comm, in, out, stage_block, *op, base)
+             : st.plan->run_pipelined(comm, in, out, stage_block, base);
 }
 
 }  // namespace
@@ -114,7 +110,7 @@ PlanExecution run_stage_plan(const CompositeStage& st, mps::Communicator& comm,
 PlanExecution CompositePlan::run(mps::Communicator& comm,
                                  std::span<const std::byte> send,
                                  std::span<std::byte> recv, const ReduceOp* op,
-                                 int start_round, bool pipelined) const {
+                                 int start_round) const {
   check_contract(send, recv, op);
   BRUCK_REQUIRE_MSG(comm.size() == n_,
                     "composite was lowered for a different communicator size");
@@ -139,11 +135,10 @@ PlanExecution CompositePlan::run(mps::Communicator& comm,
       const std::int64_t stage_block = st.block_units * b;
       PlanExecution r;
       if (st.members.empty()) {
-        r = run_stage_plan(st, comm, in, out, stage_block, op, base,
-                           pipelined);
+        r = run_stage_plan(st, comm, in, out, stage_block, op, base);
       } else {
         mps::GroupComm sub(comm, st.members);
-        r = run_stage_plan(st, sub, in, out, stage_block, op, base, pipelined);
+        r = run_stage_plan(st, sub, in, out, stage_block, op, base);
       }
       total.bytes_sent += r.bytes_sent;
       total.bytes_reduced += r.bytes_reduced;

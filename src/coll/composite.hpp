@@ -14,13 +14,14 @@
 // agree on every wire round number and the composite returns one
 // fabric-wide next_round.
 //
-// Two drivers walk a composite.  run() is the blocking driver: per stage,
-// construct the sub-communicator, execute the stage plan with the blocking
-// (or pipelined) executor, record the stage's PlanEvent, apply the splices.
-// CompositeCursor is the incremental driver for the progress engine: the
-// PlanCursor state machine lifted one level, advancing through world-scope
-// stages as their cursors drain (it subsumes the engine's former hard-coded
-// allreduce reduce-scatter→allgather chaining).
+// Two drivers walk a composite, both over the one plan executor.  run() is
+// the blocking driver: per stage, construct the sub-communicator, execute
+// the stage plan with Plan::run_pipelined, record the stage's PlanEvent,
+// apply the splices.  CompositeCursor is the incremental driver for the
+// progress engine: the PlanCursor state machine lifted one level,
+// advancing through world-scope stages as their cursors drain (it subsumes
+// the engine's former hard-coded allreduce reduce-scatter→allgather
+// chaining).
 //
 // The hierarchical (two-level leader-model) lowerings live here too:
 // lower_index_hier / lower_concat_hier / lower_reduce_hier build the
@@ -149,15 +150,14 @@ class CompositePlan {
                                        std::int64_t n,
                                        std::int64_t block_bytes);
 
-  /// Execute every stage back to back with the blocking driver (pipelined =
-  /// false: Plan::run per stage; true: Plan::run_pipelined).  `op` is
-  /// required iff any stage reduces or any splice combines.  Records one
-  /// PlanEvent per executed (non-idle) stage.  Returns the aggregate
-  /// execution: next_round = start_round + round_count(), bytes summed over
-  /// executed stages.
+  /// Execute every stage back to back with the blocking driver
+  /// (Plan::run_pipelined per stage).  `op` is required iff any stage
+  /// reduces or any splice combines.  Records one PlanEvent per executed
+  /// (non-idle) stage.  Returns the aggregate execution: next_round =
+  /// start_round + round_count(), bytes summed over executed stages.
   PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
                     std::span<std::byte> recv, const ReduceOp* op,
-                    int start_round = 0, bool pipelined = false) const;
+                    int start_round = 0) const;
 
   [[nodiscard]] const std::vector<CompositeStage>& stages() const {
     return stages_;

@@ -177,7 +177,7 @@ const Layout* Plan::active_layout(PlanBuffer buffer, const Extents& ex) {
     case PlanBuffer::kUserRecv: lay = ex.recv_layout; break;
     case PlanBuffer::kScratch: return nullptr;
   }
-  // A dense layout degenerates to null: the executors then take exactly the
+  // A dense layout degenerates to null: the executor then takes exactly the
   // pre-layout code paths (zero-copy subspans, bulk memcpy walks).
   return lay != nullptr && !lay->is_contiguous() ? lay : nullptr;
 }
@@ -719,7 +719,7 @@ void Plan::apply_epilogue(std::span<std::byte> recv,
 namespace {
 
 /// The three run-time buffers of one plan execution, with the
-/// PlanBuffer → span mapping both executors share.
+/// PlanBuffer → span mapping the cursor reads through.
 struct ExecBuffers {
   std::span<const std::byte> send;
   std::span<std::byte> recv;
@@ -761,7 +761,7 @@ std::vector<std::byte> Plan::pack_message(const PlanMessage& m,
     gather_extents(src, extents, out);
     return out;
   }
-  // Uniform: allocation-free direct walk (the PR 1/2 hot path).
+  // Uniform: a direct walk with no extent list (the hot path).
   const std::int64_t b = ex.b;
   std::vector<std::byte> out(static_cast<std::size_t>(message_bytes(m, b)));
   std::size_t pos = 0;
@@ -835,28 +835,6 @@ void Plan::scatter_message(const PlanMessage& m, std::span<std::byte> dst,
   }
 }
 
-PlanExecution Plan::run(mps::Communicator& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, std::int64_t block_bytes,
-                        int start_round, const LayoutPair& layouts) const {
-  check_run_contract(comm, send, recv, block_bytes, layouts);
-  return run_blocking_impl(comm, send, recv,
-                           Extents{block_bytes, nullptr, nullptr,
-                                   layouts.send, layouts.recv},
-                           start_round);
-}
-
-PlanExecution Plan::run(mps::Communicator& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, const VectorView& view,
-                        int start_round, const LayoutPair& layouts) const {
-  check_vector_contract(comm, send, recv, view, layouts);
-  return run_blocking_impl(comm, send, recv,
-                           Extents{view.pad_bytes, &view, nullptr,
-                                   layouts.send, layouts.recv},
-                           start_round);
-}
-
 PlanExecution Plan::run_pipelined(mps::Communicator& comm,
                                   std::span<const std::byte> send,
                                   std::span<std::byte> recv,
@@ -881,18 +859,6 @@ PlanExecution Plan::run_pipelined(mps::Communicator& comm,
                             start_round);
 }
 
-PlanExecution Plan::run(mps::Communicator& comm,
-                        std::span<const std::byte> send,
-                        std::span<std::byte> recv, std::int64_t block_bytes,
-                        const ReduceOp& op, int start_round,
-                        const LayoutPair& layouts) const {
-  check_reduce_contract(comm, send, recv, block_bytes, op, layouts);
-  return run_blocking_impl(comm, send, recv,
-                           Extents{block_bytes, nullptr, &op, layouts.send,
-                                   layouts.recv},
-                           start_round);
-}
-
 PlanExecution Plan::run_pipelined(mps::Communicator& comm,
                                   std::span<const std::byte> send,
                                   std::span<std::byte> recv,
@@ -906,100 +872,14 @@ PlanExecution Plan::run_pipelined(mps::Communicator& comm,
                             start_round);
 }
 
-PlanExecution Plan::run_blocking_impl(mps::Communicator& comm,
-                                      std::span<const std::byte> send,
-                                      std::span<std::byte> recv,
-                                      const Extents& ex,
-                                      int start_round) const {
-  const std::int64_t n = n_;
-  const std::int64_t rank = comm.rank();
-
-  std::vector<std::byte> scratch(
-      needs_scratch_ ? static_cast<std::size_t>(n * ex.b) : 0);
-  apply_prologue(send, recv, scratch, rank, ex);
-  const ExecBuffers buffers{send, recv, scratch};
-
-  const RankProgram& prog = programs_[static_cast<std::size_t>(rank)];
-  PlanExecution out;
-  std::vector<std::vector<std::byte>> out_stage(
-      static_cast<std::size_t>(k_));
-  std::vector<std::vector<std::byte>> in_stage(static_cast<std::size_t>(k_));
-  std::vector<mps::SendSpec> sends;
-  std::vector<mps::RecvSpec> recvs;
-  // Non-contiguous receives pending scatter after the exchange.
-  std::vector<std::pair<const PlanMessage*, const std::byte*>> scatters;
-
-  for (int i = 0; i < round_count_; ++i) {
-    const PlanRound& round = prog.rounds[static_cast<std::size_t>(i)];
-    sends.clear();
-    recvs.clear();
-    scatters.clear();
-
-    for (std::uint32_t s = round.sends_begin; s < round.sends_end; ++s) {
-      const PlanMessage& m = prog.sends[s];
-      const std::int64_t bytes = resolved_message_bytes(m, ex);
-      if (bytes == 0) continue;  // zero-size: pure round counting, off the fabric
-      std::span<const std::byte> payload;
-      if (m.contiguous && active_layout(m.buffer, ex) == nullptr) {
-        // Zero-copy: the message is one byte run of the source buffer.
-        payload = buffers.readable(m.buffer)
-                      .subspan(static_cast<std::size_t>(
-                                   cell_offset(m.cells_begin, m.buffer, ex)),
-                               static_cast<std::size_t>(bytes));
-      } else {
-        std::vector<std::byte>& stage = out_stage[s - round.sends_begin];
-        stage = pack_message(m, buffers.readable(m.buffer), ex);
-        payload = stage;
-      }
-      sends.push_back(mps::SendSpec{m.peer, payload});
-      out.bytes_sent += bytes;
-    }
-
-    for (std::uint32_t r = round.recvs_begin; r < round.recvs_end; ++r) {
-      const PlanMessage& m = prog.recvs[r];
-      const std::int64_t bytes = resolved_message_bytes(m, ex);
-      if (bytes == 0) continue;
-      std::span<std::byte> landing;
-      if (m.contiguous && !m.combine &&
-          active_layout(m.buffer, ex) == nullptr) {
-        landing = buffers.writable(m.buffer)
-                      .subspan(static_cast<std::size_t>(
-                                   cell_offset(m.cells_begin, m.buffer, ex)),
-                               static_cast<std::size_t>(bytes));
-      } else {
-        // Staged: non-contiguous cells, or a combine receive (which must
-        // never land in the accumulator directly).
-        std::vector<std::byte>& stage = in_stage[r - round.recvs_begin];
-        stage.resize(static_cast<std::size_t>(bytes));
-        landing = stage;
-        scatters.emplace_back(&m, stage.data());
-        if (m.combine) out.bytes_reduced += bytes;
-      }
-      recvs.push_back(mps::RecvSpec{m.peer, landing});
-    }
-
-    if (!sends.empty() || !recvs.empty()) {
-      comm.exchange(start_round + i, sends, recvs);
-    }
-
-    for (const auto& [m, data] : scatters) {
-      scatter_message(*m, buffers.writable(m->buffer), data, ex);
-    }
-  }
-
-  apply_epilogue(recv, scratch, rank, ex);
-  out.next_round = start_round + round_count_;
-  return out;
-}
-
 PlanExecution Plan::run_pipelined_impl(mps::Communicator& comm,
                                        std::span<const std::byte> send,
                                        std::span<std::byte> recv,
                                        const Extents& ex,
                                        int start_round) const {
-  // The blocking pipelined executor is the single-tenant driving loop of
-  // the resumable cursor: post what's postable, block on the engine's
-  // completion stream, feed completions back, repeat.
+  // The single-tenant driving loop of the resumable cursor: post what's
+  // postable, block on the engine's completion stream, feed completions
+  // back, repeat.
   PlanCursor cursor(shared_from_this(), comm, send, recv, ex, start_round,
                     /*tag=*/0);
   std::unordered_set<mps::PortHandle> mine;
@@ -1085,9 +965,8 @@ PlanCursor::PlanCursor(std::shared_ptr<const Plan> plan,
                  start_round, tag) {}
 
 bool PlanCursor::postable(int i) const {
-  // The double-buffered discipline of the blocking pipelined executor:
-  // round i may overlap round i−1 only when the lowering proved them
-  // independent; otherwise the pipeline drains first (true data dependence
+  // The double-buffered posting discipline: round i may overlap round
+  // i−1 only when the lowering proved them independent; otherwise the pipeline drains first (true data dependence
   // — e.g. concat Bruck re-sends what it just received).  At most two
   // rounds are ever in flight.
   if (i == 0) return true;
@@ -1320,9 +1199,9 @@ std::shared_ptr<const Plan> Plan::lower_index_pairwise(std::int64_t n, int k,
 // ---------------------------------------------------------------------------
 // Reduction lowering.  Reduce-scatter's communication skeleton is the index
 // pattern with combining: every receive carries the combine flag and the
-// executors ⊕ its payload into the cells instead of overwriting.  Plans are
-// block-size and op independent (cells are whole blocks; the operator
-// arrives at run time through the ReduceOp overloads).
+// executor ⊕-combines its payload into the cells instead of overwriting.
+// Plans are block-size and op independent (cells are whole blocks; the
+// operator arrives at run time through the ReduceOp overloads).
 
 std::shared_ptr<const Plan> Plan::lower_reduce_direct(std::int64_t n, int k,
                                                       int segments) {
@@ -1797,7 +1676,7 @@ std::shared_ptr<const Plan> Plan::lower_bcast_circulant(std::int64_t n, int k,
 // ---------------------------------------------------------------------------
 // Irregular (vector) lowering.  All irregular plans are shape-free: the
 // round/peer/slot structure depends only on (algorithm, n, k, radix), and
-// every cell records its occupant block's identity so the executors can
+// every cell records its occupant block's identity so the executor can
 // resolve true sizes — and trim the wire messages — from the VectorView.
 
 std::shared_ptr<const Plan> Plan::lower_indexv_direct(std::int64_t n, int k,

@@ -16,19 +16,19 @@
 // repeated collective on the same communicator shape does no planning work
 // at all.
 //
-// Two executors walk a plan.  `run()` is the blocking (PR 1) executor:
-// pack, exchange, scatter, strictly round by round.  `run_pipelined()`
-// drives the nonblocking port engine instead: sends are packed straight
-// into wire buffers and posted without waiting, receives complete eagerly
-// in *arrival* order (scatter happens per message, not per round), and
-// round r+1 is posted while round r's receives are still in flight
-// whenever the lowering proved the rounds independent (`pipeline_safe`,
-// computed in finalize() from the cells each round reads and writes).
-// Large payloads can additionally be split into `segments()` wire segments
-// per message — the plan-lowering pipelining knob (tuned through
-// model::pick_segment_count) — so a receiver consumes segment i while
-// segment i+1 is still being produced.  Both executors produce
-// byte-identical results and identical C1/C2 trace accounting.
+// One executor walks a plan.  `run_pipelined()` drives the nonblocking
+// port engine: sends are packed straight into wire buffers and posted
+// without waiting, receives complete eagerly in *arrival* order (scatter
+// happens per message, not per round), and round r+1 is posted while round
+// r's receives are still in flight whenever the lowering proved the rounds
+// independent (`pipeline_safe`, computed in finalize() from the cells each
+// round reads and writes).  Large payloads can additionally be split into
+// `segments()` wire segments per message — the plan-lowering pipelining
+// knob (tuned through model::pick_segment_count) — so a receiver consumes
+// segment i while segment i+1 is still being produced.  The executor's
+// results and C1/C2 trace accounting are byte-identical to the reference
+// oracles.  `PlanCursor` is the same state machine exposed incrementally
+// for the progress engine; run_pipelined() is its single-tenant loop.
 //
 // Index plans are *block-size independent*: their cells are whole blocks,
 // so one plan serves every block_bytes (sizes are resolved at run time).
@@ -186,8 +186,10 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// run time from a VectorView instead of a uniform block size.
   [[nodiscard]] bool irregular() const { return irregular_; }
 
-  /// Execute this rank's program with the blocking round-by-round executor.
-  /// For index plans `send`/`recv` hold n blocks of `block_bytes` each; for
+  /// Execute this rank's program with the pipelined executor: nonblocking
+  /// posts, eager out-of-order receive completion, cross-round overlap
+  /// where proven safe, and segments() wire segments per message.  For
+  /// index plans `send`/`recv` hold n blocks of `block_bytes` each; for
   /// concat plans `send` is one block and `block_bytes` must equal the
   /// plan's.  Returns the next free round and the bytes this rank put on
   /// the wire.
@@ -203,37 +205,21 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// layouts reproduce today's behavior bit for bit, including the
   /// zero-copy contiguous-run fast path.  The layouts must outlive the
   /// call; wire bytes and trace accounting are layout-independent.
-  PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv, std::int64_t block_bytes,
-                    int start_round = 0,
-                    const LayoutPair& layouts = {}) const;
-
-  /// Execute this rank's program with the pipelined executor: nonblocking
-  /// posts, eager out-of-order receive completion, cross-round overlap
-  /// where proven safe, and segments() wire segments per message.  Same
-  /// contract, results, and trace accounting as run().
   PlanExecution run_pipelined(mps::Communicator& comm,
                               std::span<const std::byte> send,
                               std::span<std::byte> recv,
                               std::int64_t block_bytes, int start_round = 0,
                               const LayoutPair& layouts = {}) const;
 
-  /// Execute a reduction plan with the blocking executor: `send` holds n
-  /// blocks (block j = this rank's contribution to rank j), `recv` one
-  /// block that ends up ⊕-combined over every rank's contribution to this
-  /// rank.  `block_bytes` must be a multiple of op.elem_bytes(); the op
-  /// must be commutative and associative (reduction.hpp).  Reduction plans
-  /// are block-size independent like index plans.
-  PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv, std::int64_t block_bytes,
-                    const ReduceOp& op, int start_round = 0,
-                    const LayoutPair& layouts = {}) const;
-
-  /// Execute a reduction plan with the pipelined executor: the combine is
-  /// fused into the eager out-of-order completion path, so arithmetic
-  /// overlaps in-flight rounds.  Same contract and results as the blocking
-  /// overload.  A recv layout's blocklen must be a multiple of
-  /// op.elem_bytes() (combines trim at piece edges).
+  /// Execute a reduction plan: `send` holds n blocks (block j = this rank's
+  /// contribution to rank j), `recv` one block that ends up ⊕-combined over
+  /// every rank's contribution to this rank.  `block_bytes` must be a
+  /// multiple of op.elem_bytes(); the op must be commutative and
+  /// associative (reduction.hpp).  Reduction plans are block-size
+  /// independent like index plans.  The combine is fused into the eager
+  /// out-of-order completion path, so arithmetic overlaps in-flight rounds.
+  /// A recv layout's blocklen must be a multiple of op.elem_bytes()
+  /// (combines trim at piece edges).
   PlanExecution run_pipelined(mps::Communicator& comm,
                               std::span<const std::byte> send,
                               std::span<std::byte> recv,
@@ -241,19 +227,13 @@ class Plan : public std::enable_shared_from_this<Plan> {
                               int start_round = 0,
                               const LayoutPair& layouts = {}) const;
 
-  /// Execute an irregular plan with the blocking executor.  For index plans
-  /// `send`/`recv` are laid out by view.send_displs/view.recv_displs; for
-  /// concat plans `send` is this rank's single block (view.counts[rank]
-  /// bytes) and `recv` is laid out by view.recv_displs.  Blocks with a zero
-  /// count never touch the fabric (the round is still counted).
-  PlanExecution run(mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv, const VectorView& view,
-                    int start_round = 0, const LayoutPair& layouts = {}) const;
-
-  /// Execute an irregular plan with the pipelined executor.  Same contract,
-  /// results, and trace accounting as the blocking overload.  With layouts,
-  /// each block's displacement is the block *origin* and the layout maps
-  /// its counts[·] logical bytes from there.
+  /// Execute an irregular plan.  For index plans `send`/`recv` are laid out
+  /// by view.send_displs/view.recv_displs; for concat plans `send` is this
+  /// rank's single block (view.counts[rank] bytes) and `recv` is laid out
+  /// by view.recv_displs.  Blocks with a zero count never touch the fabric
+  /// (the round is still counted).  With layouts, each block's displacement
+  /// is the block *origin* and the layout maps its counts[·] logical bytes
+  /// from there.
   PlanExecution run_pipelined(mps::Communicator& comm,
                               std::span<const std::byte> send,
                               std::span<std::byte> recv,
@@ -393,10 +373,9 @@ class Plan : public std::enable_shared_from_this<Plan> {
   Plan(PlanCollective collective, std::string algorithm, std::int64_t n, int k,
        std::int64_t block_bytes);
 
-  /// One execution's resolved size/layout context, shared by both
-  /// executors: uniform runs carry the block size; irregular runs carry the
-  /// VectorView (and use `b` as the padded scratch stride); reduction runs
-  /// carry the combine operator.
+  /// One execution's resolved size/layout context: uniform runs carry the
+  /// block size; irregular runs carry the VectorView (and use `b` as the
+  /// padded scratch stride); reduction runs carry the combine operator.
   struct Extents {
     std::int64_t b = 0;
     const VectorView* view = nullptr;  // null for uniform plans
@@ -447,7 +426,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
 
   /// The layout governing `buffer` under `ex`, or null when the buffer is
   /// plain contiguous — scratch always, user buffers when no layout (or a
-  /// degenerate contiguous one) was supplied.  Null ⇒ the executors take
+  /// degenerate contiguous one) was supplied.  Null ⇒ the executor takes
   /// exactly the pre-layout code paths, including zero-copy.
   [[nodiscard]] static const Layout* active_layout(PlanBuffer buffer,
                                                    const Extents& ex);
@@ -462,7 +441,7 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// Compute every rank's pipeline_safe vector (part of finalize()).
   void compute_pipeline_safety();
 
-  // Shared pieces of the two executors.
+  // Pieces of the executor.
   void check_run_contract(const mps::Communicator& comm,
                           std::span<const std::byte> send,
                           std::span<std::byte> recv, std::int64_t b,
@@ -491,11 +470,8 @@ class Plan : public std::enable_shared_from_this<Plan> {
   void scatter_message(const PlanMessage& m, std::span<std::byte> dst,
                        const std::byte* data, const Extents& ex) const;
 
-  // The executor bodies both public run flavors funnel into.
-  PlanExecution run_blocking_impl(mps::Communicator& comm,
-                                  std::span<const std::byte> send,
-                                  std::span<std::byte> recv, const Extents& ex,
-                                  int start_round) const;
+  // The single-tenant driving loop every run_pipelined overload funnels
+  // into.
   PlanExecution run_pipelined_impl(mps::Communicator& comm,
                                    std::span<const std::byte> send,
                                    std::span<std::byte> recv,
@@ -529,11 +505,10 @@ class Plan : public std::enable_shared_from_this<Plan> {
 /// The cursor never blocks.  post_ready() posts every round whose
 /// dependence is satisfied — round i is postable once rounds [0, i−1) have
 /// fully drained if the lowering proved it independent of round i−1
-/// (`pipeline_safe`), else once rounds [0, i) have — exactly the
-/// double-buffered posting discipline of the blocking pipelined executor
-/// (at most two rounds in flight).  The owner routes each completed receive
-/// handle back through on_complete(); when the last round drains, the
-/// cursor applies the plan epilogue and becomes done().
+/// (`pipeline_safe`), else once rounds [0, i) have — a double-buffered
+/// posting discipline (at most two rounds in flight).  The owner routes
+/// each completed receive handle back through on_complete(); when the last
+/// round drains, the cursor applies the plan epilogue and becomes done().
 ///
 /// All posts go to the cursor's port-namespace `tag`, so concurrent cursors
 /// on one communicator (the coll:: progress engine) can never alias wire

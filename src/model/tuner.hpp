@@ -299,8 +299,10 @@ inline constexpr std::int64_t kMinSegmentBytes = 4096;
 /// per-message floor the tuner and executor both apply.  A forced S the
 /// floor would collapse anyway must resolve — and key the cache — exactly
 /// like the tuned pick, or one geometry caches two plans for the same
-/// effective execution.  Only the pipelined executor segments, so
-/// `pipelined = false` resolves to 1.
+/// effective execution.  `pipelined = false` resolves to 1 (no wire
+/// segmentation).  Every library caller passes true — the plan executor
+/// always segments — and the parameter stays for external callers that
+/// key plans themselves.
 [[nodiscard]] int resolve_segment_knob(int requested, bool pipelined,
                                        const LinearModel& machine,
                                        const CostMetrics& predicted);

@@ -81,8 +81,10 @@ std::string compare(std::span<const std::byte> got,
 
 TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
   SplitMix64 rng(0x1A7007);
+  // Three passes per trial, each with its own segments draw: the oracle,
+  // then the plan executor twice (keeps the sweep's RNG stream intact).
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
+                                 ExecutionPath::kPipelined,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 14; ++trial) {
     const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(8));
@@ -132,7 +134,7 @@ TEST(LayoutDatatype, AlltoallRandomStridedSweep) {
 TEST(LayoutDatatype, AllgatherRandomStridedSweep) {
   SplitMix64 rng(0xA11);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
+                                 ExecutionPath::kPipelined,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 10; ++trial) {
     const std::int64_t n = 1 + static_cast<std::int64_t>(rng.next_below(9));
@@ -205,7 +207,7 @@ void accumulate_f64(std::span<std::byte> acc, std::span<const std::byte> in) {
 TEST(LayoutDatatype, ReduceScatterStridedMatchesStagedOracle) {
   SplitMix64 rng(0x5EDU);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
+                                 ExecutionPath::kPipelined,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 9; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(7));
@@ -246,7 +248,7 @@ TEST(LayoutDatatype, ReduceScatterStridedMatchesStagedOracle) {
 TEST(LayoutDatatype, AllreduceStridedMatchesStagedOracle) {
   SplitMix64 rng(0xA11D);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
+                                 ExecutionPath::kPipelined,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 6; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(6));
@@ -287,7 +289,7 @@ TEST(LayoutDatatype, AllreduceStridedMatchesStagedOracle) {
 TEST(LayoutDatatype, AlltoallvStridedCanonicalDispls) {
   SplitMix64 rng(0xA2A5);
   const ExecutionPath paths[] = {ExecutionPath::kReference,
-                                 ExecutionPath::kCompiled,
+                                 ExecutionPath::kPipelined,
                                  ExecutionPath::kPipelined};
   for (int trial = 0; trial < 6; ++trial) {
     const std::int64_t n = 2 + static_cast<std::int64_t>(rng.next_below(6));
@@ -358,8 +360,7 @@ TEST(LayoutDatatype, TiledAndInterleavedBlockStride) {
     const std::int64_t b = sl.block_bytes();
     const Layout rl = Layout::contiguous(b);
     for (const ExecutionPath path :
-         {ExecutionPath::kReference, ExecutionPath::kCompiled,
-          ExecutionPath::kPipelined}) {
+         {ExecutionPath::kReference, ExecutionPath::kPipelined}) {
       AlltoallOptions options;
       options.path = path;
       SCOPED_TRACE(sl.describe() + " path=" +
@@ -392,7 +393,6 @@ TEST(LayoutDigest, ContiguousLayoutsKeyIdenticallyToPlainCalls) {
   const std::int64_t n = 6;
   const std::int64_t b = 24;
   AlltoallOptions options;
-  options.path = ExecutionPath::kCompiled;
   const auto run_plain = [&] {
     mps::run_spmd(n, 1, [&](mps::Communicator& comm) {
       std::vector<std::byte> send(static_cast<std::size_t>(n * b));
@@ -426,7 +426,6 @@ TEST(LayoutDigest, StrideJitterSharesOnePlanAcrossCalls) {
   PlanCache::global().clear();
   const std::int64_t n = 6;
   AlltoallOptions options;
-  options.path = ExecutionPath::kCompiled;
   const auto run_with = [&](const Layout& sl) {
     const std::int64_t b = sl.block_bytes();
     const Layout rl = Layout::vector(1, b, b).with_block_stride(b + 3);

@@ -149,9 +149,10 @@ TEST(PipelinedExecutor, ConcatRandomSweepMatchesReference) {
   }
 }
 
-TEST(PipelinedExecutor, PipelinedVsBlockingCompiledIdenticalTraces) {
-  // The two compiled executors walk the same plan; their traces (and plan
-  // stats) must be indistinguishable.
+TEST(PipelinedExecutor, SegmentedRunMatchesReferenceTraceAndClosedForm) {
+  // A segmented plan execution must put the reference oracle's message
+  // pattern on the wire, return the same next round, and report the
+  // closed-form byte volume and round count in its plan stats.
   const std::int64_t n = 12;
   const int k = 2;
   const std::int64_t b = 32;
@@ -160,7 +161,7 @@ TEST(PipelinedExecutor, PipelinedVsBlockingCompiledIdenticalTraces) {
     options.algorithm = IndexAlgorithm::kBruck;
     options.radix = 3;
     options.path = path;
-    options.segments = path == ExecutionPath::kPipelined ? 2 : 0;
+    options.segments = 2;
     return testutil::run_index(
         n, k, b,
         [&](mps::Communicator& comm, std::span<const std::byte> send,
@@ -168,19 +169,19 @@ TEST(PipelinedExecutor, PipelinedVsBlockingCompiledIdenticalTraces) {
           return coll::alltoall(comm, send, recv, b, options);
         });
   };
-  const testutil::CollRun blocking = run_with(ExecutionPath::kCompiled);
+  const testutil::CollRun reference = run_with(ExecutionPath::kReference);
   const testutil::CollRun pipelined = run_with(ExecutionPath::kPipelined);
-  ASSERT_EQ(blocking.error, "");
+  ASSERT_EQ(reference.error, "");
   ASSERT_EQ(pipelined.error, "");
-  sched::Schedule sb = blocking.trace->to_schedule();
+  EXPECT_EQ(pipelined.rounds_used, reference.rounds_used);
+  sched::Schedule sr = reference.trace->to_schedule();
   sched::Schedule sp = pipelined.trace->to_schedule();
-  sb.normalize();
+  sr.normalize();
   sp.normalize();
-  EXPECT_TRUE(sb == sp);
-  EXPECT_EQ(blocking.trace->plan_stats().bytes_sent,
-            pipelined.trace->plan_stats().bytes_sent);
-  EXPECT_EQ(blocking.trace->plan_stats().rounds,
-            pipelined.trace->plan_stats().rounds);
+  EXPECT_TRUE(sr == sp);
+  const model::CostMetrics want = model::index_bruck_cost(n, 3, k, b);
+  EXPECT_EQ(pipelined.trace->plan_stats().bytes_sent, want.total_bytes);
+  EXPECT_EQ(pipelined.trace->plan_stats().rounds, n * want.c1);
 }
 
 TEST(PipelinedExecutor, LargeBlocksActuallySegmentOnTheWire) {

@@ -204,7 +204,7 @@ TEST(CompiledVsReference, IndexRandomSweep) {
     AlltoallOptions compiled;
     compiled.algorithm = IndexAlgorithm::kBruck;
     compiled.radix = r;
-    compiled.path = ExecutionPath::kCompiled;
+    compiled.path = ExecutionPath::kPipelined;
     AlltoallOptions reference = compiled;
     reference.path = ExecutionPath::kReference;
 
@@ -257,7 +257,7 @@ TEST(CompiledVsReference, ConcatRandomSweep) {
     AllgatherOptions compiled;
     compiled.algorithm = alg;
     compiled.last_round = strategy;
-    compiled.path = ExecutionPath::kCompiled;
+    compiled.path = ExecutionPath::kPipelined;
     AllgatherOptions reference = compiled;
     reference.path = ExecutionPath::kReference;
 
@@ -301,7 +301,7 @@ TEST(CompiledVsReference, ConcatByteSplitWhereFeasible) {
     AllgatherOptions compiled;
     compiled.algorithm = ConcatAlgorithm::kBruck;
     compiled.last_round = model::ConcatLastRound::kByteSplit;
-    compiled.path = ExecutionPath::kCompiled;
+    compiled.path = ExecutionPath::kPipelined;
     AllgatherOptions reference = compiled;
     reference.path = ExecutionPath::kReference;
 

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "coll/api.hpp"
+#include "coll/plan_cache.hpp"
 #include "coll/progress.hpp"
 #include "coll/verify.hpp"
 #include "gtest/gtest.h"
@@ -521,6 +522,173 @@ TEST(ProgressEngine, SerialFallbackOnExchangeOnlyWrappers) {
     EXPECT_EQ(st.tags_used, 0u);  // tag 0 only: no namespaces allocated
     EXPECT_EQ(st.fused_groups, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// One option resolver per family: an i* call must key the very plan its
+// blocking twin just ran.  If the two resolutions ever drift (a different
+// segment count, strategy, radix, or layout digest), the twin misses the
+// PlanCache and this test names the family.
+
+/// Runs `call(comm, start_round, nonblocking)` blocking and then as its i*
+/// twin on every rank — on the native communicator and on an exchange-only
+/// wrapper (the engine's serial fallback) — and checks that every PlanEvent
+/// of the twin is a cache hit with the blocking run's rounds and bytes.
+/// The cache starts empty, so only the blocking run's keys can hit.
+template <typename Call>
+void expect_twin_shares_plan(const std::string& label, const Call& call) {
+  const std::int64_t n = 6;
+  for (const bool wrap : {false, true}) {
+    SCOPED_TRACE(label + (wrap ? " (exchange-only wrapper)" : ""));
+    coll::PlanCache::global().clear();
+    mps::RunResult rr = mps::run_spmd(n, 2, [&](mps::Communicator& comm) {
+      PassthroughComm wrapped(comm);
+      mps::Communicator& c = wrap ? static_cast<mps::Communicator&>(wrapped)
+                                  : comm;
+      const int next = call(c, 0, false);
+      (void)call(c, next, true);
+    });
+    for (std::int64_t r = 0; r < n; ++r) {
+      const std::vector<mps::PlanEvent>& events = rr.trace->sink(r).plans();
+      ASSERT_FALSE(events.empty());
+      ASSERT_EQ(events.size() % 2, 0u);
+      const std::size_t half = events.size() / 2;
+      for (std::size_t i = 0; i < half; ++i) {
+        const mps::PlanEvent& blocking = events[i];
+        const mps::PlanEvent& twin = events[half + i];
+        EXPECT_TRUE(twin.cache_hit) << "rank " << r << " stage " << i;
+        EXPECT_EQ(twin.rounds, blocking.rounds);
+        EXPECT_EQ(twin.bytes_sent, blocking.bytes_sent);
+        EXPECT_EQ(twin.bytes_reduced, blocking.bytes_reduced);
+      }
+    }
+  }
+}
+
+TEST(ProgressEngine, BlockingAndNonblockingTwinsShareOnePlan) {
+  const std::int64_t n = 6;
+  const std::int64_t b = 16;
+  const ReduceOp sum = ReduceOp::sum(ReduceElem::kF64);
+  // Strided layouts whose pieces are whole f64 elements, so the reduction
+  // families can use them too.
+  const coll::Layout sl = coll::Layout::vector(2, 8, 12);
+  const coll::Layout rl =
+      coll::Layout::vector(2, 8, 16).with_block_stride(40);
+  const auto bytes = [](std::int64_t count) {
+    return std::vector<std::byte>(static_cast<std::size_t>(count));
+  };
+  std::vector<std::int64_t> counts(static_cast<std::size_t>(n * n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      counts[static_cast<std::size_t>(i * n + j)] = ((i * 7 + j * 3) % 5) * 4;
+    }
+  }
+  const auto row_bytes = [&](std::int64_t rank, bool column) {
+    std::int64_t total = 0;
+    for (std::int64_t j = 0; j < n; ++j) {
+      total += counts[static_cast<std::size_t>(column ? j * n + rank
+                                                      : rank * n + j)];
+    }
+    return total;
+  };
+
+  expect_twin_shares_plan(
+      "alltoall", [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(n * b);
+        std::vector<std::byte> recv = bytes(n * b);
+        AlltoallOptions o;
+        o.start_round = start;
+        return nb ? coll::ialltoall(comm, send, recv, b, o).wait()
+                  : coll::alltoall(comm, send, recv, b, o);
+      });
+  expect_twin_shares_plan(
+      "strided alltoall", [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(sl.span_bytes(n));
+        std::vector<std::byte> recv = bytes(rl.span_bytes(n));
+        AlltoallOptions o;
+        o.start_round = start;
+        return nb ? coll::ialltoall(comm, send, recv, sl, rl, o).wait()
+                  : coll::alltoall(comm, send, recv, sl, rl, o);
+      });
+  expect_twin_shares_plan(
+      "allgather", [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(b);
+        std::vector<std::byte> recv = bytes(n * b);
+        AllgatherOptions o;
+        o.start_round = start;
+        return nb ? coll::iallgather(comm, send, recv, b, o).wait()
+                  : coll::allgather(comm, send, recv, b, o);
+      });
+  expect_twin_shares_plan(
+      "strided allgather", [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(sl.span_bytes(1));
+        std::vector<std::byte> recv = bytes(rl.span_bytes(n));
+        AllgatherOptions o;
+        o.start_round = start;
+        return nb ? coll::iallgather(comm, send, recv, sl, rl, o).wait()
+                  : coll::allgather(comm, send, recv, sl, rl, o);
+      });
+  expect_twin_shares_plan(
+      "alltoallv", [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(row_bytes(comm.rank(), false));
+        std::vector<std::byte> recv = bytes(row_bytes(comm.rank(), true));
+        AlltoallvOptions o;
+        o.start_round = start;
+        return nb ? coll::ialltoallv(comm, send, recv, counts, {}, {}, o)
+                        .wait()
+                  : coll::alltoallv(comm, send, recv, counts, {}, {}, o);
+      });
+  expect_twin_shares_plan(
+      "strided alltoallv", [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(sl.span_bytes(n));
+        std::vector<std::byte> recv = bytes(rl.span_bytes(n));
+        AlltoallvOptions o;
+        o.start_round = start;
+        return nb ? coll::ialltoallv(comm, send, recv, counts, {}, {}, sl, rl,
+                                     o)
+                        .wait()
+                  : coll::alltoallv(comm, send, recv, counts, {}, {}, sl, rl,
+                                    o);
+      });
+  expect_twin_shares_plan(
+      "reduce_scatter", [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(n * b);
+        std::vector<std::byte> recv = bytes(b);
+        ReduceScatterOptions o;
+        o.start_round = start;
+        return nb ? coll::ireduce_scatter(comm, send, recv, b, sum, o).wait()
+                  : coll::reduce_scatter(comm, send, recv, b, sum, o);
+      });
+  expect_twin_shares_plan(
+      "strided reduce_scatter",
+      [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(sl.span_bytes(n));
+        std::vector<std::byte> recv = bytes(rl.span_bytes(1));
+        ReduceScatterOptions o;
+        o.start_round = start;
+        return nb ? coll::ireduce_scatter(comm, send, recv, sl, rl, sum, o)
+                        .wait()
+                  : coll::reduce_scatter(comm, send, recv, sl, rl, sum, o);
+      });
+  expect_twin_shares_plan(
+      "allreduce", [&](mps::Communicator& comm, int start, bool nb) {
+        // 13 elements over 6 ranks: exercises the padded tail block.
+        std::vector<std::byte> send = bytes(13 * 8);
+        std::vector<std::byte> recv = bytes(13 * 8);
+        AllreduceOptions o;
+        o.start_round = start;
+        return nb ? coll::iallreduce(comm, send, recv, sum, o).wait()
+                  : coll::allreduce(comm, send, recv, sum, o);
+      });
+  expect_twin_shares_plan(
+      "strided allreduce", [&](mps::Communicator& comm, int start, bool nb) {
+        std::vector<std::byte> send = bytes(sl.span_bytes(1));
+        std::vector<std::byte> recv = bytes(rl.span_bytes(1));
+        AllreduceOptions o;
+        o.start_round = start;
+        return nb ? coll::iallreduce(comm, send, recv, sl, rl, sum, o).wait()
+                  : coll::allreduce(comm, send, recv, sl, rl, sum, o);
+      });
 }
 
 // ---------------------------------------------------------------------------
