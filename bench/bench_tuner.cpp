@@ -34,6 +34,10 @@ namespace {
 
 /// Median-of-3 wall-clock of one executed index run (µs).
 double wall_us(std::int64_t n, int k, std::int64_t b, std::int64_t r) {
+  bruck::coll::AlltoallOptions index;
+  index.algorithm = bruck::coll::IndexAlgorithm::kBruck;
+  index.radix = r;
+  index.hier = bruck::coll::HierMode::kOff;
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
     bruck::mps::FabricOptions options;
@@ -46,8 +50,7 @@ double wall_us(std::int64_t n, int k, std::int64_t b, std::int64_t r) {
                                       std::byte{1});
           std::vector<std::byte> recv(send.size());
           comm.barrier();
-          bruck::coll::index_bruck(comm, send, recv, b,
-                                   bruck::coll::IndexBruckOptions{r, 0});
+          bruck::coll::alltoall(comm, send, recv, b, index);
         });
     const double us = rr.wall_seconds * 1e6;
     best = rep == 0 ? us : std::min(best, us);

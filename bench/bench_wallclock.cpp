@@ -15,13 +15,9 @@
 #include "coll/api.hpp"
 #include "coll/layout.hpp"
 #include "coll/reduction.hpp"
-#include "coll/concat_bruck.hpp"
 #include "coll/progress.hpp"
 #include "coll/request.hpp"
 #include "coll/verify.hpp"
-#include "coll/concat_folklore.hpp"
-#include "coll/concat_ring.hpp"
-#include "coll/index_bruck.hpp"
 #include "model/tuner.hpp"
 #include "mps/runtime.hpp"
 
@@ -35,8 +31,11 @@ void run_index(std::int64_t n, std::int64_t b, std::int64_t radix) {
   bruck::mps::run_spmd(options, [&](bruck::mps::Communicator& comm) {
     std::vector<std::byte> send(static_cast<std::size_t>(n * b), std::byte{1});
     std::vector<std::byte> recv(send.size());
-    bruck::coll::index_bruck(comm, send, recv, b,
-                             bruck::coll::IndexBruckOptions{radix, 0});
+    bruck::coll::AlltoallOptions index;
+    index.algorithm = bruck::coll::IndexAlgorithm::kBruck;
+    index.radix = radix;
+    index.hier = bruck::coll::HierMode::kOff;
+    bruck::coll::alltoall(comm, send, recv, b, index);
   });
 }
 

@@ -15,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "coll/concat_bruck.hpp"
-#include "coll/index_bruck.hpp"
+#include "coll/api.hpp"
 #include "mps/runtime.hpp"
 #include "util/assert.hpp"
 
@@ -91,8 +90,11 @@ int main() {
       kN, std::vector<std::byte>(static_cast<std::size_t>(kN * kB)));
   bruck::mps::run_spmd(kN, 1, [&](bruck::mps::Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
-    bruck::coll::index_bruck(comm, send[rank], recv[rank], kB,
-                             bruck::coll::IndexBruckOptions{2, 0});
+    bruck::coll::AlltoallOptions options;
+    options.algorithm = bruck::coll::IndexAlgorithm::kBruck;
+    options.radix = 2;
+    options.hier = bruck::coll::HierMode::kOff;
+    bruck::coll::alltoall(comm, send[rank], recv[rank], kB, options);
   });
   print_grid("Fig. 1 (after): processor i holds B[0,i] .. B[4,i]",
              snapshot(recv));
@@ -133,8 +135,12 @@ int main() {
   bruck::mps::run_spmd(kN, 1, [&](bruck::mps::Communicator& comm) {
     const std::int64_t rank = comm.rank();
     const std::vector<std::byte> mine{static_cast<std::byte>('A' + rank)};
-    bruck::coll::concat_bruck(comm, mine,
-                              cat_recv[static_cast<std::size_t>(rank)], 1, {});
+    bruck::coll::AllgatherOptions options;
+    options.algorithm = bruck::coll::ConcatAlgorithm::kBruck;
+    options.hier = bruck::coll::HierMode::kOff;
+    bruck::coll::allgather(comm, mine,
+                           cat_recv[static_cast<std::size_t>(rank)], 1,
+                           options);
   });
   std::cout << "round 0: each node sends its window of 1 block to rank-1\n";
   std::cout << "round 1: windows of 2 blocks to rank-2\n";

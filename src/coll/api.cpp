@@ -12,13 +12,7 @@
 
 #include "coll/bcast.hpp"
 #include "coll/composite.hpp"
-#include "coll/concat_bruck.hpp"
-#include "coll/concat_folklore.hpp"
-#include "coll/concat_ring.hpp"
 #include "coll/gather_scatter.hpp"
-#include "coll/index_bruck.hpp"
-#include "coll/index_direct.hpp"
-#include "coll/index_pairwise.hpp"
 #include "coll/plan_cache.hpp"
 #include "coll/progress.hpp"
 #include "coll/vector_reference.hpp"
@@ -221,7 +215,7 @@ Recipe resolve_allgather(std::int64_t n, int k, std::int64_t block_bytes,
       options.algorithm == ConcatAlgorithm::kAuto ? ConcatAlgorithm::kBruck
                                                   : options.algorithm;
   // Canonicalize the last-round strategy so equal geometries share a key
-  // (the same resolution concat_bruck performs internally).
+  // (the same resolution concat_bruck_cost and the builder apply).
   const model::ConcatLastRound strategy =
       algorithm == ConcatAlgorithm::kBruck
           ? model::resolve_concat_last_round(n, k, block_bytes,
@@ -717,21 +711,18 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
   const std::int64_t n = comm.size();
   const int k = comm.ports();
   if (options.path == ExecutionPath::kReference) {
-    const AlltoallPlan plan = plan_alltoall(n, k, block_bytes, options);
-    switch (plan.algorithm) {
-      case IndexAlgorithm::kDirect:
-        return index_direct(comm, send, recv, block_bytes,
-                            IndexDirectOptions{options.start_round});
-      case IndexAlgorithm::kPairwise:
-        return index_pairwise(comm, send, recv, block_bytes,
-                              IndexPairwiseOptions{options.start_round});
-      case IndexAlgorithm::kBruck:
-      case IndexAlgorithm::kAuto:
-        return index_bruck(comm, send, recv, block_bytes,
-                           IndexBruckOptions{plan.radix, options.start_round});
-    }
-    BRUCK_ENSURE_MSG(false, "unreachable");
-    return options.start_round;
+    // The per-pair oracle with uniform counts.  The options are still
+    // resolved, so a bad radix or pairwise on a non-power-of-two n is
+    // rejected here as on the executor path.
+    (void)plan_alltoall(n, k, block_bytes, options);
+    BRUCK_REQUIRE(static_cast<std::int64_t>(send.size()) == n * block_bytes);
+    BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == n * block_bytes);
+    const std::vector<std::int64_t> counts(static_cast<std::size_t>(n * n),
+                                           block_bytes);
+    const std::vector<std::int64_t> displs =
+        prefix_displs(std::span(counts).first(static_cast<std::size_t>(n)));
+    return alltoallv_reference(comm, send, recv, counts, displs, displs,
+                               VectorReferenceOptions{options.start_round});
   }
 
   // Hierarchical dispatch: when the knob engages, lower this rank's
@@ -793,7 +784,7 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
                     recv.first(static_cast<std::size_t>(n * b)), b, options);
   }
   if (options.path == ExecutionPath::kReference) {
-    // The inline oracles predate layouts: stage through packed copies so
+    // The per-pair oracle takes packed buffers: stage through copies so
     // kReference stays the bitwise cross-check of the zero-copy path.
     return alltoall_staged(comm, send, recv, send_layout, recv_layout,
                            options);
@@ -810,21 +801,15 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
   const std::int64_t n = comm.size();
   const int k = comm.ports();
   if (options.path == ExecutionPath::kReference) {
-    switch (options.algorithm) {
-      case ConcatAlgorithm::kFolklore:
-        return concat_folklore(comm, send, recv, block_bytes,
-                               ConcatFolkloreOptions{options.start_round});
-      case ConcatAlgorithm::kRing:
-        return concat_ring(comm, send, recv, block_bytes,
-                           ConcatRingOptions{options.start_round});
-      case ConcatAlgorithm::kBruck:
-      case ConcatAlgorithm::kAuto:
-        return concat_bruck(
-            comm, send, recv, block_bytes,
-            ConcatBruckOptions{options.last_round, options.start_round});
-    }
-    BRUCK_ENSURE_MSG(false, "unreachable");
-    return options.start_round;
+    // The per-pair oracle with uniform counts.  As in alltoall, the options
+    // are still resolved (an infeasible kByteSplit is rejected).
+    (void)resolve_allgather(n, k, block_bytes, options);
+    BRUCK_REQUIRE(static_cast<std::int64_t>(recv.size()) == n * block_bytes);
+    const std::vector<std::int64_t> counts(static_cast<std::size_t>(n),
+                                           block_bytes);
+    return allgatherv_reference(comm, send, recv, counts,
+                                prefix_displs(counts),
+                                VectorReferenceOptions{options.start_round});
   }
 
   // Hierarchical dispatch (see alltoall).

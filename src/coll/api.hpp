@@ -34,9 +34,12 @@ enum class ConcatAlgorithm {
 
 /// How the facade executes a collective.
 enum class ExecutionPath {
-  /// The original inline implementations that re-derive the pattern per
-  /// call.  Kept as the cross-check oracle: tests assert the compiled path
-  /// and kReference produce identical results and traces.
+  /// The family's naive oracle, whatever the requested algorithm: the
+  /// direct per-pair exchange of vector_reference.hpp (alltoall, allgather
+  /// and their vector forms), reduce_scatter_reference, or
+  /// allreduce_reference.  It shares no code with the plan engine.  Tests
+  /// assert identical payloads to kPipelined; the executor's traces are
+  /// checked against the sched::build_* schedules instead.
   kReference,
   /// Lower (or fetch from the PlanCache) a compiled plan and run it with
   /// the plan executor over the nonblocking port engine: zero planning work
@@ -159,8 +162,8 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
 /// behaves (and caches) exactly like the plain overload.  Buffers must
 /// cover layout.span_bytes(n); bytes outside the layout's extents are
 /// never read or written.  The layouts are read during the call only.
-/// Under kReference the facade stages through packed copies (the inline
-/// oracles predate layouts), so it remains the bitwise cross-check.
+/// Under kReference the facade stages through packed copies (the per-pair
+/// oracle takes packed buffers), so it remains the bitwise cross-check.
 int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
              std::span<std::byte> recv, const Layout& send_layout,
              const Layout& recv_layout, const AlltoallOptions& options = {});

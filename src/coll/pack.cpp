@@ -9,23 +9,6 @@
 
 namespace bruck::coll {
 
-namespace {
-
-// Walk the slots with digit x == z in ascending order without materializing
-// the member list: slots are q·r^{x+1} + z·r^x + t for t ∈ [0, r^x).
-template <typename Fn>
-void for_each_member(std::int64_t n, std::int64_t r, int x, std::int64_t z,
-                     Fn&& fn) {
-  const std::int64_t lo = ipow(r, x);
-  const std::int64_t period = lo * r;
-  for (std::int64_t base = z * lo; base < n; base += period) {
-    const std::int64_t end = std::min(base + lo, n);
-    for (std::int64_t slot = base; slot < end; ++slot) fn(slot);
-  }
-}
-
-}  // namespace
-
 std::int64_t gather_extents(std::span<const std::byte> src,
                             std::span<const ByteExtent> extents,
                             std::span<std::byte> out) {
@@ -66,38 +49,25 @@ std::int64_t pack_by_digit(std::span<const std::byte> buffer,
                            std::int64_t z) {
   BRUCK_REQUIRE(static_cast<std::int64_t>(buffer.size()) == n * block_bytes);
   BRUCK_REQUIRE(z >= 1 && z < r);
+  // Walk the slots with digit x == z in ascending order without
+  // materializing the member list: slots are q·r^{x+1} + z·r^x + t for
+  // t ∈ [0, r^x).
+  const std::int64_t lo = ipow(r, x);
+  const std::int64_t period = lo * r;
   std::int64_t count = 0;
-  for_each_member(n, r, x, z, [&](std::int64_t slot) {
-    BRUCK_REQUIRE(static_cast<std::int64_t>(packed.size()) >=
-                  (count + 1) * block_bytes);
-    if (block_bytes > 0) {
-      std::memcpy(packed.data() + count * block_bytes,
-                  buffer.data() + slot * block_bytes,
-                  static_cast<std::size_t>(block_bytes));
+  for (std::int64_t base = z * lo; base < n; base += period) {
+    const std::int64_t end = std::min(base + lo, n);
+    for (std::int64_t slot = base; slot < end; ++slot) {
+      BRUCK_REQUIRE(static_cast<std::int64_t>(packed.size()) >=
+                    (count + 1) * block_bytes);
+      if (block_bytes > 0) {
+        std::memcpy(packed.data() + count * block_bytes,
+                    buffer.data() + slot * block_bytes,
+                    static_cast<std::size_t>(block_bytes));
+      }
+      ++count;
     }
-    ++count;
-  });
-  BRUCK_ENSURE(count == radix_digit_census(n, r, x, z));
-  return count;
-}
-
-std::int64_t unpack_by_digit(std::span<std::byte> buffer,
-                             std::span<const std::byte> packed, std::int64_t n,
-                             std::int64_t block_bytes, std::int64_t r, int x,
-                             std::int64_t z) {
-  BRUCK_REQUIRE(static_cast<std::int64_t>(buffer.size()) == n * block_bytes);
-  BRUCK_REQUIRE(z >= 1 && z < r);
-  std::int64_t count = 0;
-  for_each_member(n, r, x, z, [&](std::int64_t slot) {
-    BRUCK_REQUIRE(static_cast<std::int64_t>(packed.size()) >=
-                  (count + 1) * block_bytes);
-    if (block_bytes > 0) {
-      std::memcpy(buffer.data() + slot * block_bytes,
-                  packed.data() + count * block_bytes,
-                  static_cast<std::size_t>(block_bytes));
-    }
-    ++count;
-  });
+  }
   BRUCK_ENSURE(count == radix_digit_census(n, r, x, z));
   return count;
 }

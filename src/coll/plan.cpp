@@ -1089,10 +1089,10 @@ const PlanExecution& PlanCursor::result() const {
 }
 
 // ---------------------------------------------------------------------------
-// Lowering: the compiled counterparts of the coll/ implementations.  Each
-// mirrors its oracle's loop structure exactly (same rounds, same peers, same
-// pack order), so plan-executed and directly-executed results — and traces —
-// are bit-identical.
+// Lowering: the one executable definition of each algorithm (the paper
+// phases are described on the declarations in plan.hpp).  Each round list
+// is checked transfer-for-transfer against its independently derived
+// sched/ builder.
 
 std::shared_ptr<const Plan> Plan::lower_index_bruck(std::int64_t n, int k,
                                                     std::int64_t radix,

@@ -26,9 +26,10 @@
 // `segments()` wire segments per message — the plan-lowering pipelining
 // knob (tuned through model::pick_segment_count) — so a receiver consumes
 // segment i while segment i+1 is still being produced.  The executor's
-// results and C1/C2 trace accounting are byte-identical to the reference
-// oracles.  `PlanCursor` is the same state machine exposed incrementally
-// for the progress engine; run_pipelined() is its single-tenant loop.
+// payloads are byte-identical to the kReference oracles', and its C1/C2
+// trace equals the sched/ builders' schedule.  `PlanCursor` is the same
+// state machine exposed incrementally for the progress engine;
+// run_pipelined() is its single-tenant loop.
 //
 // Index plans are *block-size independent*: their cells are whole blocks,
 // so one plan serves every block_bytes (sizes are resolved at run time).
@@ -255,12 +256,33 @@ class Plan : public std::enable_shared_from_this<Plan> {
   /// rounds' completions, and what it posts.
   [[nodiscard]] std::string describe_cursor() const;
 
-  // -- Lowering entry points (the compiled counterparts of coll/) ----------
+  // -- Lowering entry points: the only executable form of each algorithm --
   //
-  // `segments` is the pipelined executor's wire-segmentation knob (≥ 1; it
-  // does not change the round/cell structure, only how run_pipelined ships
-  // each message).
+  // sched/builders_* re-derive each pattern independently as the
+  // specification the executed traces are checked against.  `segments` is
+  // the pipelined executor's wire-segmentation knob (≥ 1; it does not
+  // change the round/cell structure, only how run_pipelined ships each
+  // message).
 
+  /// The index operation of Section 3 with radix r ∈ [2, max(2, n)].  Rank
+  /// i starts with n blocks B[i,0..n) and ends with B[0..n, i]:
+  ///
+  ///   Phase 1 (prologue): rotate the n send blocks i positions upwards
+  ///                       into scratch, so the block destined for rank
+  ///                       (i + s) mod n sits in slot s.
+  ///   Phase 2 (rounds):   w = ⌈log_r n⌉ subphases, one per radix-r digit
+  ///                       of the remaining rotation distance.  In subphase
+  ///                       x, step z ships every slot whose digit x equals
+  ///                       z, as one message, to rank (i + z·r^x) mod n.
+  ///                       With k ports, up to k steps of a subphase share
+  ///                       one round (Section 3.4).
+  ///   Phase 3 (epilogue): slot s (which traveled distance s from rank
+  ///                       (i − s) mod n) becomes output block (i − s) mod n.
+  ///
+  /// C1 = Σ_x ⌈(h_x−1)/k⌉ ≤ ⌈(r−1)/k⌉·⌈log_r n⌉ rounds, the value of
+  /// model::index_bruck_cost.  r = 2 is the C1-optimal end (⌈log2 n⌉
+  /// rounds at k = 1); r = n the C2-optimal end (b(n−1) bytes, n−1
+  /// rounds).
   static std::shared_ptr<const Plan> lower_index_bruck(std::int64_t n, int k,
                                                        std::int64_t radix,
                                                        int segments = 1);
@@ -269,6 +291,26 @@ class Plan : public std::enable_shared_from_this<Plan> {
   static std::shared_ptr<const Plan> lower_index_pairwise(std::int64_t n,
                                                           int k,
                                                           int segments = 1);
+  /// The concatenation of Section 4 on the circulant graph G(n, S) with
+  /// S_i = {(k+1)^i·j : 1 ≤ j ≤ k}.  With d = ⌈log_{k+1} n⌉,
+  /// n1 = (k+1)^{d−1} and n2 = n − n1:
+  ///
+  ///   Rounds 0 … d−2 (Section 4.1): each node sends its whole window of
+  ///   cur = (k+1)^i consecutive blocks to the k nodes at offsets −j·cur
+  ///   and receives the k windows that extend its own, so the window grows
+  ///   by a factor of k+1 per round.  Following Appendix B, offsets are
+  ///   negative (node u sends to u − s): after round i node u holds B[u],
+  ///   B[u+1], …, B[u + (k+1)^{i+1} − 1] (mod n).
+  ///
+  ///   Last round (Section 4.2): a table partition (topo/partition.hpp)
+  ///   schedules the remaining n2 blocks.  Area A_m with leftmost column
+  ///   L_m ships on its own port to u − (n1 + L_m): for every cell (column
+  ///   c, byte rows [r0, r1)), the bytes [r0, r1) of window block c − L_m,
+  ///   landing in window slot n1 + c.  `strategy` (already resolved from
+  ///   kAuto) picks the paper's byte-split partition or one of the two
+  ///   fallbacks of its Remark.
+  ///
+  /// The measures are model::concat_bruck_cost's.
   static std::shared_ptr<const Plan> lower_concat_bruck(
       std::int64_t n, int k, std::int64_t block_bytes,
       model::ConcatLastRound strategy, int segments = 1);

@@ -4,7 +4,7 @@
 #include <cstring>
 #include <vector>
 
-#include "coll/index_bruck.hpp"
+#include "coll/api.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
 
@@ -411,8 +411,12 @@ int concat_via_index(mps::Communicator& comm, std::span<const std::byte> send,
     }
   }
   // After the index, receive block i = B[i, rank] = B[i]: the concatenation.
-  return index_bruck(comm, replicated, recv, block_bytes,
-                     IndexBruckOptions{options.radix, options.start_round});
+  AlltoallOptions index;
+  index.algorithm = IndexAlgorithm::kBruck;
+  index.radix = options.radix;
+  index.start_round = options.start_round;
+  index.hier = HierMode::kOff;
+  return alltoall(comm, replicated, recv, block_bytes, index);
 }
 
 }  // namespace bruck::coll

@@ -143,9 +143,9 @@ struct ConcatViaIndexOptions {
 
 /// Concatenation implemented by the Proposition 2.3 reduction: replicate
 /// this rank's block n times, run the index operation, and the receive
-/// buffer is the concatenation.  Same buffer contract as concat_bruck.
-/// Blocking/thread-safety/trace behavior is the underlying index
-/// algorithm's (index_bruck.hpp).
+/// buffer is the concatenation.  Same buffer contract as allgather.  The
+/// index step is coll::alltoall forced to flat Bruck at `radix`, so
+/// blocking, thread-safety and trace behavior are alltoall's.
 int concat_via_index(mps::Communicator& comm, std::span<const std::byte> send,
                      std::span<std::byte> recv, std::int64_t block_bytes,
                      const ConcatViaIndexOptions& options = {});

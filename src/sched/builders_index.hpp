@@ -1,7 +1,7 @@
 // Data-free derivations of the index algorithms' communication patterns.
 //
-// These builders intentionally do NOT share code with the executable
-// implementations in coll/ beyond the radix helpers: they re-derive each
+// These builders intentionally do NOT share code with the executable plan
+// lowerings in coll/plan.cpp beyond the radix helpers: they re-derive each
 // pattern from the paper's description so that "executed trace == built
 // schedule" is a meaningful cross-check and not a tautology.
 #pragma once

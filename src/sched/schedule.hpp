@@ -1,8 +1,9 @@
 // A data-free intermediate representation of a collective communication
 // pattern: the sequence of rounds, each a set of point-to-point transfers.
 //
-// Every algorithm in coll/ has a corresponding *builder* in this library
-// that derives its pattern independently of the data-moving implementation.
+// Every algorithm lowered in coll/plan.cpp has a corresponding *builder* in
+// this library that derives its pattern independently of the data-moving
+// lowering.
 // Tests assert that the executed trace (mps/trace.hpp) and the built
 // schedule agree transfer-for-transfer; benches evaluate schedules under
 // cost models without moving any bytes.

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "model/costs.hpp"
+#include "sched/builders_index.hpp"
 #include "test_util.hpp"
+#include "util/rng.hpp"
 
 namespace bruck::coll {
 namespace {
@@ -129,6 +133,106 @@ TEST(Allgather, StrategyOverrideIsForwarded) {
             model::concat_bruck_cost(13, 3, 4,
                                      model::ConcatLastRound::kTwoRound)
                 .c1);
+}
+
+// ---------------------------------------------------------------------------
+// The kReference contract: whatever algorithm the options name, the plain
+// alltoall and allgather run the per-pair oracle.  Its payloads equal the
+// plan executor's bitwise, and its wire pattern is the direct exchange.
+
+/// Every rank's receive buffer and the normalized trace of one collective
+/// call on an n-rank, k-port fabric (random send payloads per rank).
+struct Outcome {
+  std::vector<std::vector<std::byte>> recv;
+  sched::Schedule trace;
+  std::vector<int> next_round;
+};
+
+Outcome run_collective(
+    std::int64_t n, int k, std::int64_t send_bytes, std::int64_t recv_bytes,
+    const std::function<int(mps::Communicator&, std::span<const std::byte>,
+                            std::span<std::byte>)>& call) {
+  std::vector<std::vector<std::byte>> recv(static_cast<std::size_t>(n));
+  std::vector<int> next(static_cast<std::size_t>(n));
+  const mps::RunResult rr = mps::run_spmd(n, k, [&](mps::Communicator& comm) {
+    const auto rank = static_cast<std::size_t>(comm.rank());
+    std::vector<std::byte> send(static_cast<std::size_t>(send_bytes));
+    fill_random_bytes(send, 500 + rank);
+    recv[rank].assign(static_cast<std::size_t>(recv_bytes), std::byte{0xEE});
+    next[rank] = call(comm, send, recv[rank]);
+  });
+  sched::Schedule trace = rr.trace->to_schedule();
+  trace.normalize();
+  return Outcome{std::move(recv), std::move(trace), std::move(next)};
+}
+
+TEST(ReferencePath, RunsThePerPairOracleWhateverTheAlgorithm) {
+  const std::int64_t b = 7;
+  for (const std::int64_t n : {5, 8, 13}) {
+    for (const int k : {1, 3}) {
+      sched::Schedule direct = sched::build_index_direct(n, k, b);
+      direct.normalize();
+      const int direct_c1 = model::index_direct_cost(n, k, b).c1;
+      const auto check = [&](const Outcome& ref, const Outcome& pip) {
+        EXPECT_EQ(ref.recv, pip.recv) << "payloads differ";
+        EXPECT_TRUE(ref.trace == direct) << "not the direct exchange";
+        for (const int r : ref.next_round) EXPECT_EQ(r, direct_c1);
+      };
+
+      for (const IndexAlgorithm alg :
+           {IndexAlgorithm::kBruck, IndexAlgorithm::kAuto,
+            IndexAlgorithm::kDirect, IndexAlgorithm::kPairwise}) {
+        if (alg == IndexAlgorithm::kPairwise && n != 8) continue;
+        for (const std::int64_t radix : {2, 3}) {
+          SCOPED_TRACE("alltoall n=" + std::to_string(n) +
+                       " k=" + std::to_string(k) + " " + to_string(alg) +
+                       " r=" + std::to_string(radix));
+          AlltoallOptions options = testutil::index_options(alg, radix);
+          const auto run = [&](ExecutionPath path) {
+            options.path = path;
+            return run_collective(
+                n, k, n * b, n * b,
+                [&](mps::Communicator& comm, std::span<const std::byte> send,
+                    std::span<std::byte> recv) {
+                  return alltoall(comm, send, recv, b, options);
+                });
+          };
+          check(run(ExecutionPath::kReference),
+                run(ExecutionPath::kPipelined));
+        }
+      }
+
+      for (const ConcatAlgorithm alg :
+           {ConcatAlgorithm::kBruck, ConcatAlgorithm::kAuto,
+            ConcatAlgorithm::kFolklore, ConcatAlgorithm::kRing}) {
+        for (const model::ConcatLastRound last :
+             {model::ConcatLastRound::kAuto,
+              model::ConcatLastRound::kColumnGranular,
+              model::ConcatLastRound::kTwoRound,
+              model::ConcatLastRound::kByteSplit}) {
+          if (last == model::ConcatLastRound::kByteSplit &&
+              !model::concat_byte_split_feasible(n, k, b)) {
+            continue;
+          }
+          SCOPED_TRACE("allgather n=" + std::to_string(n) +
+                       " k=" + std::to_string(k) + " " + to_string(alg) +
+                       " last=" + std::to_string(static_cast<int>(last)));
+          AllgatherOptions options = testutil::concat_options(alg, last);
+          const auto run = [&](ExecutionPath path) {
+            options.path = path;
+            return run_collective(
+                n, k, b, n * b,
+                [&](mps::Communicator& comm, std::span<const std::byte> send,
+                    std::span<std::byte> recv) {
+                  return allgather(comm, send, recv, b, options);
+                });
+          };
+          check(run(ExecutionPath::kReference),
+                run(ExecutionPath::kPipelined));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // End-to-end content correctness of the concatenation (allgather)
 // algorithms, across n × ports × block-size × last-round-strategy grids.
+// Each algorithm runs through coll::allgather with the algorithm forced,
+// flat.
 #include <gtest/gtest.h>
 
-#include "coll/concat_bruck.hpp"
-#include "coll/concat_folklore.hpp"
-#include "coll/concat_ring.hpp"
 #include "model/costs.hpp"
+#include "sched/builders_concat.hpp"
 #include "test_util.hpp"
 #include "util/assert.hpp"
 
@@ -13,6 +13,7 @@ namespace bruck {
 namespace {
 
 using model::ConcatLastRound;
+using testutil::concat_options;
 using testutil::run_concat;
 
 struct Case {
@@ -46,10 +47,19 @@ TEST_P(ConcatBruckSweep, EveryRankEndsWithTheFullConcatenation) {
       [&, strat = strategy](mps::Communicator& comm,
                             std::span<const std::byte> send,
                             std::span<std::byte> recv) {
-        return coll::concat_bruck(comm, send, recv, b,
-                                  coll::ConcatBruckOptions{strat, 0});
+        return coll::allgather(
+            comm, send, recv, b,
+            testutil::concat_options(coll::ConcatAlgorithm::kBruck, strat));
       });
   EXPECT_EQ(run.error, "") << case_name(GetParam());
+  // The plan executor's trace is the paper's schedule at its closed form.
+  sched::Schedule built = sched::build_concat_bruck(n, k, b, strategy);
+  built.normalize();
+  EXPECT_TRUE(run.trace->to_schedule() == built) << case_name(GetParam());
+  if (b == 0) return;  // nothing enters the fabric; the closed form is moot
+  const model::CostMetrics closed = model::concat_bruck_cost(n, k, b, strategy);
+  EXPECT_EQ(built.metrics(), closed) << case_name(GetParam());
+  EXPECT_EQ(run.rounds_used, closed.c1) << case_name(GetParam());
 }
 
 std::vector<Case> concat_cases() {
@@ -97,8 +107,10 @@ TEST(ConcatBruck, NonoptimalRangeContentsCorrect) {
             n, k, b,
             [&](mps::Communicator& comm, std::span<const std::byte> send,
                 std::span<std::byte> recv) {
-              return coll::concat_bruck(comm, send, recv, b,
-                                        coll::ConcatBruckOptions{strategy, 0});
+              return coll::allgather(
+                  comm, send, recv, b,
+                  testutil::concat_options(coll::ConcatAlgorithm::kBruck,
+                                           strategy));
             });
         EXPECT_EQ(run.error, "")
             << "n=" << n << " k=" << k << " " << strategy_name(strategy);
@@ -111,15 +123,21 @@ TEST(ConcatBruck, NonoptimalRangeContentsCorrect) {
 TEST(ConcatBruck, ByteSplitStrategyThrowsWhereInfeasible) {
   // n = 3, k = 3, b = 3 is infeasible for the byte-split partition.
   ASSERT_FALSE(model::concat_byte_split_feasible(3, 3, 3));
-  EXPECT_THROW(
-      run_concat(3, 3, 3,
-                 [&](mps::Communicator& comm, std::span<const std::byte> send,
-                     std::span<std::byte> recv) {
-                   return coll::concat_bruck(
-                       comm, send, recv, 3,
-                       coll::ConcatBruckOptions{ConcatLastRound::kByteSplit, 0});
-                 }),
-      ContractViolation);
+  for (const coll::ExecutionPath path :
+       {coll::ExecutionPath::kPipelined, coll::ExecutionPath::kReference}) {
+    coll::AllgatherOptions options = concat_options(
+        coll::ConcatAlgorithm::kBruck, ConcatLastRound::kByteSplit);
+    options.path = path;
+    EXPECT_THROW(
+        run_concat(3, 3, 3,
+                   [&](mps::Communicator& comm,
+                       std::span<const std::byte> send,
+                       std::span<std::byte> recv) {
+                     return coll::allgather(comm, send, recv, 3, options);
+                   }),
+        ContractViolation)
+        << coll::to_string(path);
+  }
 }
 
 struct SimpleCase {
@@ -135,7 +153,9 @@ TEST_P(ConcatFolkloreSweep, EveryRankEndsWithTheFullConcatenation) {
       n, 1, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::concat_folklore(comm, send, recv, b, {});
+        return coll::allgather(
+            comm, send, recv, b,
+            testutil::concat_options(coll::ConcatAlgorithm::kFolklore));
       });
   EXPECT_EQ(run.error, "") << "n=" << n << " b=" << b;
 }
@@ -159,7 +179,9 @@ TEST_P(ConcatRingSweep, EveryRankEndsWithTheFullConcatenation) {
       n, 1, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::concat_ring(comm, send, recv, b, {});
+        return coll::allgather(
+            comm, send, recv, b,
+            testutil::concat_options(coll::ConcatAlgorithm::kRing));
       });
   EXPECT_EQ(run.error, "") << "n=" << n << " b=" << b;
 }
@@ -185,10 +207,15 @@ TEST(ConcatProperty, AllAlgorithmsProduceIdenticalOutput) {
       std::vector<std::byte> a(static_cast<std::size_t>(n * b));
       std::vector<std::byte> c(a.size());
       std::vector<std::byte> d(a.size());
-      int next = coll::concat_bruck(comm, send, a, b, {});
-      next = coll::concat_folklore(comm, send, c, b,
-                                   coll::ConcatFolkloreOptions{next});
-      coll::concat_ring(comm, send, d, b, coll::ConcatRingOptions{next});
+      int next = coll::allgather(
+          comm, send, a, b, concat_options(coll::ConcatAlgorithm::kBruck));
+      next = coll::allgather(
+          comm, send, c, b,
+          concat_options(coll::ConcatAlgorithm::kFolklore,
+                         ConcatLastRound::kAuto, next));
+      coll::allgather(comm, send, d, b,
+                      concat_options(coll::ConcatAlgorithm::kRing,
+                                     ConcatLastRound::kAuto, next));
       if (a != c || a != d) mismatches[static_cast<std::size_t>(rank)] = 1;
     });
     for (int m : mismatches) EXPECT_EQ(m, 0) << "n=" << n;

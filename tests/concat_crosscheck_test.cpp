@@ -1,10 +1,8 @@
-// Three-way cross-check for the concatenation algorithms, plus execution-
-// level verification of the Theorem 4.3 optimality claims.
+// Three-way cross-check for the concatenation algorithms (the plan
+// executor's trace through coll::allgather, algorithm forced, flat), plus
+// execution-level verification of the Theorem 4.3 optimality claims.
 #include <gtest/gtest.h>
 
-#include "coll/concat_bruck.hpp"
-#include "coll/concat_folklore.hpp"
-#include "coll/concat_ring.hpp"
 #include "model/costs.hpp"
 #include "model/lower_bounds.hpp"
 #include <algorithm>
@@ -49,8 +47,9 @@ TEST_P(ConcatCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
       [&, strat = strategy](mps::Communicator& comm,
                             std::span<const std::byte> send,
                             std::span<std::byte> recv) {
-        return coll::concat_bruck(comm, send, recv, b,
-                                  coll::ConcatBruckOptions{strat, 0});
+        return coll::allgather(
+            comm, send, recv, b,
+            testutil::concat_options(coll::ConcatAlgorithm::kBruck, strat));
       });
   ASSERT_EQ(run.error, "") << case_name(GetParam());
 
@@ -97,7 +96,9 @@ TEST_P(FolkloreCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
       n, 1, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::concat_folklore(comm, send, recv, b, {});
+        return coll::allgather(
+            comm, send, recv, b,
+            testutil::concat_options(coll::ConcatAlgorithm::kFolklore));
       });
   ASSERT_EQ(run.error, "");
   sched::Schedule executed = run.trace->to_schedule();
@@ -126,7 +127,9 @@ TEST_P(RingCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
       n, 1, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::concat_ring(comm, send, recv, b, {});
+        return coll::allgather(
+            comm, send, recv, b,
+            testutil::concat_options(coll::ConcatAlgorithm::kRing));
       });
   ASSERT_EQ(run.error, "");
   sched::Schedule executed = run.trace->to_schedule();
@@ -157,7 +160,9 @@ TEST(ConcatExecutedOptimality, MeetsBothLowerBoundsOutsideTheRange) {
             n, k, b,
             [&](mps::Communicator& comm, std::span<const std::byte> send,
                 std::span<std::byte> recv) {
-              return coll::concat_bruck(comm, send, recv, b, {});
+              return coll::allgather(
+                  comm, send, recv, b,
+                  testutil::concat_options(coll::ConcatAlgorithm::kBruck));
             });
         ASSERT_EQ(run.error, "");
         const model::CostMetrics m = run.trace->metrics();

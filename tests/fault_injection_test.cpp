@@ -13,11 +13,10 @@
 #include <vector>
 
 #include "coll/api.hpp"
-#include "coll/concat_bruck.hpp"
-#include "coll/index_bruck.hpp"
 #include "coll/verify.hpp"
 #include "mps/bootstrap.hpp"
 #include "mps/runtime.hpp"
+#include "test_util.hpp"
 #include "util/assert.hpp"
 
 namespace bruck::mps {
@@ -105,7 +104,8 @@ std::string run_with_fault(Fault fault, int target_send) {
     std::vector<std::byte> send(static_cast<std::size_t>(n * b));
     std::vector<std::byte> recv(send.size());
     coll::fill_index_send(send, n, comm.rank(), b, 13);
-    coll::index_bruck(faulty, send, recv, b, coll::IndexBruckOptions{2, 0});
+    coll::alltoall(faulty, send, recv, b,
+                   testutil::index_options(coll::IndexAlgorithm::kBruck, 2));
     errors[static_cast<std::size_t>(comm.rank())] =
         coll::check_index_recv(recv, n, comm.rank(), b, 13);
   });
@@ -296,7 +296,8 @@ TEST(FaultInjection, ConcatContentCheckCatchesCorruption) {
     std::vector<std::byte> send(static_cast<std::size_t>(b));
     std::vector<std::byte> recv(static_cast<std::size_t>(n * b));
     coll::fill_concat_send(send, comm.rank(), b, 19);
-    coll::concat_bruck(faulty, send, recv, b, {});
+    coll::allgather(faulty, send, recv, b,
+                    testutil::concat_options(coll::ConcatAlgorithm::kBruck));
     errors[static_cast<std::size_t>(comm.rank())] =
         coll::check_concat_recv(recv, n, b, 19);
   });

@@ -1,14 +1,13 @@
 // End-to-end content correctness of the index (alltoall) algorithms on the
-// threaded substrate, across n × radix × ports × block-size grids.
+// threaded substrate, across n × radix × ports × block-size grids.  Each
+// algorithm runs through coll::alltoall with the algorithm forced, flat.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <tuple>
 
 #include "coll/blocks.hpp"
-#include "coll/index_bruck.hpp"
-#include "coll/index_direct.hpp"
-#include "coll/index_pairwise.hpp"
 #include "coll/pack.hpp"
 #include "test_util.hpp"
 #include "util/assert.hpp"
@@ -19,7 +18,8 @@
 namespace bruck {
 namespace {
 
-using coll::IndexBruckOptions;
+using coll::IndexAlgorithm;
+using testutil::index_options;
 using testutil::run_index;
 
 // ---------------------------------------------------------------------------
@@ -65,29 +65,29 @@ TEST(Blocks, UnrotateByRankInvertsPhaseOneAfterFullRotation) {
   }
 }
 
-TEST(Pack, PackUnpackRoundTrip) {
+TEST(Pack, PackByDigitGathersTheDigitMembersInOrder) {
   for (std::int64_t n : {1, 2, 5, 8, 13}) {
     for (std::int64_t r : {2, 3, 5}) {
       if (r > std::max<std::int64_t>(2, n)) continue;
       const std::int64_t b = 3;
       std::vector<std::byte> buf(static_cast<std::size_t>(n * b));
       fill_random_bytes(buf, 11);
-      const std::vector<std::byte> original = buf;
       const int w = radix_digit_count(n, r);
       for (int x = 0; x < w; ++x) {
         for (std::int64_t z = 1; z < r; ++z) {
           std::vector<std::byte> packed(static_cast<std::size_t>(n * b));
           const std::int64_t cnt =
               coll::pack_by_digit(buf, packed, n, b, r, x, z);
-          // Scramble the member slots, then unpack: must restore.
-          for (std::int64_t m : radix_digit_members(n, r, x, z)) {
-            buf[static_cast<std::size_t>(m * b)] = std::byte{0xFF};
+          const std::vector<std::int64_t> members =
+              radix_digit_members(n, r, x, z);
+          ASSERT_EQ(cnt, static_cast<std::int64_t>(members.size()));
+          for (std::size_t i = 0; i < members.size(); ++i) {
+            EXPECT_TRUE(std::equal(
+                packed.begin() + static_cast<std::ptrdiff_t>(i) * b,
+                packed.begin() + static_cast<std::ptrdiff_t>(i + 1) * b,
+                buf.begin() + members[i] * b))
+                << "n=" << n << " r=" << r << " x=" << x << " z=" << z;
           }
-          const std::int64_t cnt2 =
-              coll::unpack_by_digit(buf, packed, n, b, r, x, z);
-          EXPECT_EQ(cnt, cnt2);
-          EXPECT_EQ(buf, original) << "n=" << n << " r=" << r << " x=" << x
-                                   << " z=" << z;
         }
       }
     }
@@ -112,8 +112,8 @@ TEST_P(IndexBruckSweep, DeliversEveryBlockToItsDestination) {
       run_index(n, k, b, [&](mps::Communicator& comm,
                              std::span<const std::byte> send,
                              std::span<std::byte> recv) {
-        return coll::index_bruck(comm, send, recv, b,
-                                 IndexBruckOptions{radix, 0});
+        return coll::alltoall(comm, send, recv, b,
+                              index_options(IndexAlgorithm::kBruck, radix));
       });
   EXPECT_EQ(run.error, "") << "n=" << n << " r=" << radix << " k=" << k
                            << " b=" << b;
@@ -165,8 +165,8 @@ TEST_P(IndexDirectSweep, DeliversEveryBlockToItsDestination) {
       run_index(n, k, b, [&](mps::Communicator& comm,
                              std::span<const std::byte> send,
                              std::span<std::byte> recv) {
-        return coll::index_direct(comm, send, recv, b,
-                                  coll::IndexDirectOptions{0});
+        return coll::alltoall(comm, send, recv, b,
+                              index_options(IndexAlgorithm::kDirect));
       });
   EXPECT_EQ(run.error, "");
 }
@@ -192,8 +192,8 @@ TEST_P(IndexPairwiseSweep, DeliversEveryBlockToItsDestination) {
       run_index(n, k, b, [&](mps::Communicator& comm,
                              std::span<const std::byte> send,
                              std::span<std::byte> recv) {
-        return coll::index_pairwise(comm, send, recv, b,
-                                    coll::IndexPairwiseOptions{0});
+        return coll::alltoall(comm, send, recv, b,
+                              index_options(IndexAlgorithm::kPairwise));
       });
   EXPECT_EQ(run.error, "");
 }
@@ -210,13 +210,19 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(IndexPairwise, RejectsNonPowerOfTwo) {
-  EXPECT_THROW(
-      run_index(6, 1, 4,
-                [&](mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv) {
-                  return coll::index_pairwise(comm, send, recv, 4, {});
-                }),
-      ContractViolation);
+  for (const coll::ExecutionPath path :
+       {coll::ExecutionPath::kPipelined, coll::ExecutionPath::kReference}) {
+    coll::AlltoallOptions options = index_options(IndexAlgorithm::kPairwise);
+    options.path = path;
+    EXPECT_THROW(
+        run_index(6, 1, 4,
+                  [&](mps::Communicator& comm, std::span<const std::byte> send,
+                      std::span<std::byte> recv) {
+                    return coll::alltoall(comm, send, recv, 4, options);
+                  }),
+        ContractViolation)
+        << coll::to_string(path);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -235,9 +241,11 @@ TEST(IndexProperty, AppliedTwiceIsIdentity) {
       coll::fill_index_send(original, n, rank, b, 99);
       std::vector<std::byte> once(original.size());
       std::vector<std::byte> twice(original.size());
-      int next = coll::index_bruck(comm, original, once, b,
-                                   IndexBruckOptions{radix, 0});
-      coll::index_bruck(comm, once, twice, b, IndexBruckOptions{radix, next});
+      const int next =
+          coll::alltoall(comm, original, once, b,
+                         index_options(IndexAlgorithm::kBruck, radix));
+      coll::alltoall(comm, once, twice, b,
+                     index_options(IndexAlgorithm::kBruck, radix, next));
       if (twice != original) {
         errors[static_cast<std::size_t>(rank)] = "involution violated";
       }
@@ -255,11 +263,12 @@ TEST(IndexProperty, AllAlgorithmsProduceIdenticalOutput) {
       std::vector<std::byte> send(static_cast<std::size_t>(n * b));
       coll::fill_index_send(send, n, rank, b, 5);
       std::vector<std::byte> a(send.size()), c(send.size()), d(send.size());
-      int next = coll::index_bruck(comm, send, a, b, IndexBruckOptions{2, 0});
-      next = coll::index_direct(comm, send, c, b,
-                                coll::IndexDirectOptions{next});
-      coll::index_pairwise(comm, send, d, b,
-                           coll::IndexPairwiseOptions{next});
+      int next = coll::alltoall(comm, send, a, b,
+                                index_options(IndexAlgorithm::kBruck, 2));
+      next = coll::alltoall(comm, send, c, b,
+                            index_options(IndexAlgorithm::kDirect, 0, next));
+      coll::alltoall(comm, send, d, b,
+                     index_options(IndexAlgorithm::kPairwise, 0, next));
       if (a != c || a != d) mismatches[static_cast<std::size_t>(rank)] = 1;
     });
     for (int m : mismatches) EXPECT_EQ(m, 0) << "n=" << n;
@@ -267,22 +276,25 @@ TEST(IndexProperty, AllAlgorithmsProduceIdenticalOutput) {
 }
 
 TEST(IndexBruck, RejectsBadRadix) {
-  EXPECT_THROW(
-      run_index(4, 1, 4,
-                [&](mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv) {
-                  return coll::index_bruck(comm, send, recv, 4,
-                                           IndexBruckOptions{1, 0});
-                }),
-      ContractViolation);
-  EXPECT_THROW(
-      run_index(4, 1, 4,
-                [&](mps::Communicator& comm, std::span<const std::byte> send,
-                    std::span<std::byte> recv) {
-                  return coll::index_bruck(comm, send, recv, 4,
-                                           IndexBruckOptions{5, 0});
-                }),
-      ContractViolation);
+  // kReference ignores the radix but still resolves it, so both paths
+  // reject it.
+  for (const coll::ExecutionPath path :
+       {coll::ExecutionPath::kPipelined, coll::ExecutionPath::kReference}) {
+    for (const std::int64_t radix : {1, 5}) {
+      coll::AlltoallOptions options =
+          index_options(IndexAlgorithm::kBruck, radix);
+      options.path = path;
+      EXPECT_THROW(
+          run_index(4, 1, 4,
+                    [&](mps::Communicator& comm,
+                        std::span<const std::byte> send,
+                        std::span<std::byte> recv) {
+                      return coll::alltoall(comm, send, recv, 4, options);
+                    }),
+          ContractViolation)
+          << coll::to_string(path) << " r=" << radix;
+    }
+  }
 }
 
 TEST(IndexBruck, StartRoundOffsetsTrace) {
@@ -298,7 +310,8 @@ TEST(IndexBruck, StartRoundOffsetsTrace) {
         comm.send_and_recv(0, warm_out, peer, warm_in, peer);
         comm.send_and_recv(1, warm_out, peer, warm_in, peer);
         comm.send_and_recv(2, warm_out, peer, warm_in, peer);
-        return coll::index_bruck(comm, send, recv, 2, IndexBruckOptions{2, 3});
+        return coll::alltoall(comm, send, recv, 2,
+                              index_options(IndexAlgorithm::kBruck, 2, 3));
       });
   EXPECT_EQ(run.error, "");
   EXPECT_EQ(run.rounds_used, 3 + 2);  // 3 warm-up + ceil(log2 4) rounds

@@ -1,4 +1,5 @@
-// The three-way cross-check for the index algorithms: executed trace ==
+// The three-way cross-check for the index algorithms: the plan executor's
+// trace (through coll::alltoall with the algorithm forced, flat) ==
 // independently built schedule == closed-form cost metrics, over parameter
 // grids.  This is the repo's primary anti-bug device (DESIGN.md §4).
 #include <gtest/gtest.h>
@@ -6,9 +7,6 @@
 #include <set>
 #include <tuple>
 
-#include "coll/index_bruck.hpp"
-#include "coll/index_direct.hpp"
-#include "coll/index_pairwise.hpp"
 #include "model/costs.hpp"
 #include "sched/builders_index.hpp"
 #include "test_util.hpp"
@@ -38,8 +36,9 @@ TEST_P(BruckCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
       n, k, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::index_bruck(comm, send, recv, b,
-                                 coll::IndexBruckOptions{radix, 0});
+        return coll::alltoall(
+            comm, send, recv, b,
+            testutil::index_options(coll::IndexAlgorithm::kBruck, radix));
       });
   ASSERT_EQ(run.error, "");
 
@@ -86,8 +85,9 @@ TEST_P(DirectCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
       n, k, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::index_direct(comm, send, recv, b,
-                                  coll::IndexDirectOptions{0});
+        return coll::alltoall(
+            comm, send, recv, b,
+            testutil::index_options(coll::IndexAlgorithm::kDirect));
       });
   ASSERT_EQ(run.error, "");
   sched::Schedule executed = run.trace->to_schedule();
@@ -95,6 +95,7 @@ TEST_P(DirectCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
   built.normalize();
   EXPECT_TRUE(executed == built);
   EXPECT_EQ(executed.metrics(), model::index_direct_cost(n, k, b));
+  EXPECT_EQ(run.rounds_used, model::index_direct_cost(n, k, b).c1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -113,8 +114,9 @@ TEST_P(PairwiseCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
       n, k, b,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::index_pairwise(comm, send, recv, b,
-                                    coll::IndexPairwiseOptions{0});
+        return coll::alltoall(
+            comm, send, recv, b,
+            testutil::index_options(coll::IndexAlgorithm::kPairwise));
       });
   ASSERT_EQ(run.error, "");
   sched::Schedule executed = run.trace->to_schedule();
@@ -122,6 +124,7 @@ TEST_P(PairwiseCrossCheck, TraceEqualsScheduleEqualsClosedForm) {
   built.normalize();
   EXPECT_TRUE(executed == built);
   EXPECT_EQ(executed.metrics(), model::index_pairwise_cost(n, k, b));
+  EXPECT_EQ(run.rounds_used, model::index_pairwise_cost(n, k, b).c1);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,11 +1,11 @@
 // The pipelined plan executor over the nonblocking port engine.
 //
 // The correctness story extends plan_cache_test's three-way cross-check to
-// the fourth execution mode: for random (n, k, radix, b, segments)
-// configurations, the pipelined executor must deliver exactly the payloads
-// the reference (inline) implementation does AND record the identical
-// C1/C2 trace — wire segmentation and out-of-order receive completion must
-// be invisible above the transport.  Also covered here: idle-round
+// wire segmentation: for random (n, k, radix, b, segments) configurations,
+// the pipelined executor must deliver exactly the payloads the kReference
+// oracle does AND record the builder's schedule at its closed-form C1 —
+// wire segmentation and out-of-order receive completion must be invisible
+// above the transport.  Also covered here: idle-round
 // tree-based baselines, the deferred engine fallback for wrapper
 // communicators that only override exchange(), groups, segment tuning, and
 // the drop_from_barrier exception-unwind path.
@@ -40,7 +40,8 @@ using coll::ExecutionPath;
 using coll::IndexAlgorithm;
 
 // ---------------------------------------------------------------------------
-// Random sweeps: pipelined vs reference, payloads and traces.
+// Random sweeps: pipelined vs the reference payloads, and vs the builder
+// schedule and closed-form C1.
 
 TEST(PipelinedExecutor, IndexRandomSweepMatchesReference) {
   SplitMix64 rng(0xF1FE11E5);
@@ -81,13 +82,13 @@ TEST(PipelinedExecutor, IndexRandomSweepMatchesReference) {
         seed);
     ASSERT_EQ(run_p.error, "");
     ASSERT_EQ(run_r.error, "");
-    EXPECT_EQ(run_p.rounds_used, run_r.rounds_used);
+    const testutil::Expected want =
+        testutil::expected_index(IndexAlgorithm::kBruck, n, k, b, r);
+    EXPECT_EQ(run_p.rounds_used, want.closed.c1);
     sched::Schedule exec_p = run_p.trace->to_schedule();
-    sched::Schedule exec_r = run_r.trace->to_schedule();
     exec_p.normalize();
-    exec_r.normalize();
-    EXPECT_TRUE(exec_p == exec_r)
-        << "pipelined and reference traces diverge";
+    EXPECT_TRUE(exec_p == want.schedule)
+        << "pipelined trace diverges from the built schedule";
   }
 }
 
@@ -139,20 +140,22 @@ TEST(PipelinedExecutor, ConcatRandomSweepMatchesReference) {
         seed);
     ASSERT_EQ(run_p.error, "");
     ASSERT_EQ(run_r.error, "");
-    EXPECT_EQ(run_p.rounds_used, run_r.rounds_used);
+    const testutil::Expected want =
+        testutil::expected_concat(alg, n, k, b, strategy);
+    // A b = 0 concatenation never enters the fabric: no rounds at all.
+    EXPECT_EQ(run_p.rounds_used, b > 0 ? want.closed.c1 : 0);
     sched::Schedule exec_p = run_p.trace->to_schedule();
-    sched::Schedule exec_r = run_r.trace->to_schedule();
     exec_p.normalize();
-    exec_r.normalize();
-    EXPECT_TRUE(exec_p == exec_r)
-        << "pipelined and reference traces diverge";
+    EXPECT_TRUE(exec_p == want.schedule)
+        << "pipelined trace diverges from the built schedule";
   }
 }
 
 TEST(PipelinedExecutor, SegmentedRunMatchesReferenceTraceAndClosedForm) {
-  // A segmented plan execution must put the reference oracle's message
-  // pattern on the wire, return the same next round, and report the
-  // closed-form byte volume and round count in its plan stats.
+  // A segmented plan execution must deliver the reference oracle's
+  // payloads, put the builder's message pattern on the wire, return the
+  // closed-form next round, and report the closed-form byte volume and
+  // round count in its plan stats.
   const std::int64_t n = 12;
   const int k = 2;
   const std::int64_t b = 32;
@@ -173,15 +176,14 @@ TEST(PipelinedExecutor, SegmentedRunMatchesReferenceTraceAndClosedForm) {
   const testutil::CollRun pipelined = run_with(ExecutionPath::kPipelined);
   ASSERT_EQ(reference.error, "");
   ASSERT_EQ(pipelined.error, "");
-  EXPECT_EQ(pipelined.rounds_used, reference.rounds_used);
-  sched::Schedule sr = reference.trace->to_schedule();
+  const testutil::Expected want =
+      testutil::expected_index(IndexAlgorithm::kBruck, n, k, b, 3);
+  EXPECT_EQ(pipelined.rounds_used, want.closed.c1);
   sched::Schedule sp = pipelined.trace->to_schedule();
-  sr.normalize();
   sp.normalize();
-  EXPECT_TRUE(sr == sp);
-  const model::CostMetrics want = model::index_bruck_cost(n, 3, k, b);
-  EXPECT_EQ(pipelined.trace->plan_stats().bytes_sent, want.total_bytes);
-  EXPECT_EQ(pipelined.trace->plan_stats().rounds, n * want.c1);
+  EXPECT_TRUE(sp == want.schedule);
+  EXPECT_EQ(pipelined.trace->plan_stats().bytes_sent, want.closed.total_bytes);
+  EXPECT_EQ(pipelined.trace->plan_stats().rounds, n * want.closed.c1);
 }
 
 TEST(PipelinedExecutor, LargeBlocksActuallySegmentOnTheWire) {
@@ -214,10 +216,10 @@ TEST(PipelinedExecutor, LargeBlocksActuallySegmentOnTheWire) {
   ASSERT_EQ(run_p.error, "");
   ASSERT_EQ(run_r.error, "");
   sched::Schedule exec_p = run_p.trace->to_schedule();
-  sched::Schedule exec_r = run_r.trace->to_schedule();
   exec_p.normalize();
-  exec_r.normalize();
-  EXPECT_TRUE(exec_p == exec_r);
+  EXPECT_TRUE(exec_p ==
+              testutil::expected_index(IndexAlgorithm::kBruck, n, k, b, 2)
+                  .schedule);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@
 // ports, blocks that are not multiples of anything, …).
 #include <gtest/gtest.h>
 
-#include "coll/concat_bruck.hpp"
-#include "coll/index_bruck.hpp"
 #include "model/costs.hpp"
 #include "sched/builders_concat.hpp"
 #include "sched/builders_index.hpp"
@@ -31,8 +29,9 @@ TEST(RandomSweep, IndexBruckConfigurations) {
         n, k, b,
         [&](mps::Communicator& comm, std::span<const std::byte> send,
             std::span<std::byte> recv) {
-          return coll::index_bruck(comm, send, recv, b,
-                                   coll::IndexBruckOptions{r, 0});
+          return coll::alltoall(
+              comm, send, recv, b,
+              testutil::index_options(coll::IndexAlgorithm::kBruck, r));
         },
         /*seed=*/rng.next());
     ASSERT_EQ(run.error, "");
@@ -63,8 +62,10 @@ TEST(RandomSweep, ConcatBruckConfigurations) {
         n, k, b,
         [&](mps::Communicator& comm, std::span<const std::byte> send,
             std::span<std::byte> recv) {
-          return coll::concat_bruck(comm, send, recv, b,
-                                    coll::ConcatBruckOptions{strategy, 0});
+          return coll::allgather(
+              comm, send, recv, b,
+              testutil::concat_options(coll::ConcatAlgorithm::kBruck,
+                                       strategy));
         },
         /*seed=*/rng.next());
     ASSERT_EQ(run.error, "");
@@ -94,23 +95,26 @@ TEST(RandomSweep, ComposedCollectivesShareOneFabric) {
       std::vector<std::byte> isend(static_cast<std::size_t>(n * b));
       std::vector<std::byte> irecv(isend.size());
       coll::fill_index_send(isend, n, rank, b, seed);
-      int round = coll::index_bruck(comm, isend, irecv, b,
-                                    coll::IndexBruckOptions{r, 0});
+      int round = coll::alltoall(
+          comm, isend, irecv, b,
+          testutil::index_options(coll::IndexAlgorithm::kBruck, r));
       err = coll::check_index_recv(irecv, n, rank, b, seed);
       if (!err.empty()) return;
 
       std::vector<std::byte> csend(static_cast<std::size_t>(b));
       std::vector<std::byte> crecv(static_cast<std::size_t>(n * b));
       coll::fill_concat_send(csend, rank, b, seed + 1);
-      round = coll::concat_bruck(comm, csend, crecv, b,
-                                 coll::ConcatBruckOptions{
-                                     model::ConcatLastRound::kAuto, round});
+      round = coll::allgather(
+          comm, csend, crecv, b,
+          testutil::concat_options(coll::ConcatAlgorithm::kBruck,
+                                   model::ConcatLastRound::kAuto, round));
       err = coll::check_concat_recv(crecv, n, b, seed + 1);
       if (!err.empty()) return;
 
       coll::fill_index_send(isend, n, rank, b, seed + 2);
-      coll::index_bruck(comm, isend, irecv, b,
-                        coll::IndexBruckOptions{2, round});
+      coll::alltoall(
+          comm, isend, irecv, b,
+          testutil::index_options(coll::IndexAlgorithm::kBruck, 2, round));
       err = coll::check_index_recv(irecv, n, rank, b, seed + 2);
     });
     for (const std::string& e : errors) {

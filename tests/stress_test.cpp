@@ -4,9 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "coll/api.hpp"
-#include "coll/concat_bruck.hpp"
-#include "coll/index_bruck.hpp"
-#include "coll/index_direct.hpp"
 #include "coll/verify.hpp"
 #include "mps/group.hpp"
 #include "mps/runtime.hpp"
@@ -22,8 +19,9 @@ TEST(Stress, ManyPortsIndex) {
       24, 8, 16,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::index_bruck(comm, send, recv, 16,
-                                 coll::IndexBruckOptions{9, 0});
+        return coll::alltoall(
+            comm, send, recv, 16,
+            testutil::index_options(coll::IndexAlgorithm::kBruck, 9));
       });
   ASSERT_EQ(run.error, "");
   sched::Schedule built = sched::build_index_bruck(24, 9, 8, 16);
@@ -38,7 +36,9 @@ TEST(Stress, PortsExceedPeers) {
       6, 8, 32,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::index_direct(comm, send, recv, 32, {});
+        return coll::alltoall(
+            comm, send, recv, 32,
+            testutil::index_options(coll::IndexAlgorithm::kDirect));
       });
   ASSERT_EQ(run.error, "");
   EXPECT_EQ(run.trace->metrics().c1, 1);
@@ -49,8 +49,9 @@ TEST(Stress, FortyRanksLargeBlocks) {
       40, 2, 512,
       [&](mps::Communicator& comm, std::span<const std::byte> send,
           std::span<std::byte> recv) {
-        return coll::index_bruck(comm, send, recv, 512,
-                                 coll::IndexBruckOptions{3, 0});
+        return coll::alltoall(
+            comm, send, recv, 512,
+            testutil::index_options(coll::IndexAlgorithm::kBruck, 3));
       });
   ASSERT_EQ(run.error, "");
   EXPECT_EQ(run.trace->metrics(), model::index_bruck_cost(40, 3, 2, 512));
@@ -72,7 +73,9 @@ TEST(Stress, KPortGroupsSideBySide) {
     std::vector<std::byte> recv(send.size());
     coll::fill_index_send(send, gn, group.rank(), b,
                           static_cast<std::uint64_t>(100 + me % 2));
-    coll::index_bruck(group, send, recv, b, coll::IndexBruckOptions{radix, 0});
+    coll::alltoall(
+        group, send, recv, b,
+        testutil::index_options(coll::IndexAlgorithm::kBruck, radix));
     errors[static_cast<std::size_t>(me)] = coll::check_index_recv(
         recv, gn, group.rank(), b, static_cast<std::uint64_t>(100 + me % 2));
   });
@@ -96,17 +99,19 @@ TEST(Stress, LongCollectiveChain) {
         std::vector<std::byte> send(static_cast<std::size_t>(n * b));
         std::vector<std::byte> recv(send.size());
         coll::fill_index_send(send, n, rank, b, seed);
-        round = coll::index_bruck(
+        round = coll::alltoall(
             comm, send, recv, b,
-            coll::IndexBruckOptions{2 + (step % 3), round});
+            testutil::index_options(coll::IndexAlgorithm::kBruck,
+                                    2 + (step % 3), round));
         err = coll::check_index_recv(recv, n, rank, b, seed);
       } else {
         std::vector<std::byte> send(static_cast<std::size_t>(b));
         std::vector<std::byte> recv(static_cast<std::size_t>(n * b));
         coll::fill_concat_send(send, rank, b, seed);
-        round = coll::concat_bruck(
+        round = coll::allgather(
             comm, send, recv, b,
-            coll::ConcatBruckOptions{model::ConcatLastRound::kAuto, round});
+            testutil::concat_options(coll::ConcatAlgorithm::kBruck,
+                                     model::ConcatLastRound::kAuto, round));
         err = coll::check_concat_recv(recv, n, b, seed);
       }
     }
