@@ -39,7 +39,7 @@
 namespace bruck::mps {
 
 enum class FabricBackend {
-  kThread,  ///< in-process rank threads over mutex/condvar mailboxes
+  kThread,  ///< in-process rank threads over lock-free MPSC inboxes
   kShm,     ///< forked rank processes over shared-memory MPSC rings
   kSocket,  ///< forked rank processes over loopback TCP + epoll
 };

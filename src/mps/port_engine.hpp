@@ -1,6 +1,6 @@
 // The shared *native* implementation of the nonblocking port-engine
 // contract, factored out of ThreadComm so that every real fabric — threads
-// with mailboxes, processes over shared-memory rings, processes over TCP —
+// with lock-free inboxes, processes over shared-memory rings, processes over TCP —
 // runs the exact same matching/ordering machinery and differs only in how
 // wire messages physically move.
 //
@@ -14,7 +14,7 @@
 //
 // A fabric subclass implements three hooks:
 //  * wire_push(Message&&)  — move one wire segment toward its destination
-//    (mailbox deposit, ring push, socket write ...).  May block on fabric
+//    (inbox push, ring push, socket write ...).  May block on fabric
 //    backpressure, bounded by the fabric's own deadline discipline.
 //  * wire_pop(waiting_srcs, timeout) — surface one arrived wire message for
 //    this rank, blocking up to `timeout` (0 = poll).  The engine stashes

@@ -1,6 +1,7 @@
 // Lock-free multi-producer / single-consumer byte ring — the wire channel
-// of the shared-memory fabric, replacing the mutex/condvar mailbox on the
-// process-spanning hot path.
+// of the shared-memory fabric.  Unlike the thread fabric's inbox (a queue
+// of moved Message handles, inbox.hpp) it is bounded and carries payload
+// bytes inline, so the same region works across processes.
 //
 // Design: one contiguous power-of-two byte region indexed by two monotonic
 // 64-bit offsets (`tail` = bytes reserved by producers, `head` = bytes
@@ -88,8 +89,8 @@ class MpscByteRing {
   /// the ring is empty or the oldest reservation is not yet published.
   bool try_pop(Message& out);
 
-  /// Payload bytes currently queued (published and not yet consumed) —
-  /// the diagnostics counterpart of Mailbox::pending_bytes().
+  /// Payload bytes currently queued (published and not yet consumed;
+  /// diagnostics).
   [[nodiscard]] std::size_t pending_bytes() const;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }

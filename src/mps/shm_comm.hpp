@@ -9,9 +9,9 @@
 // receive timeout) so attaching needs nothing but the region and a rank,
 // plus a generation-based sense-reversing barrier and an abort flag.  Ring
 // i is the MPSC inbound channel of rank i: any rank may push (producers),
-// only rank i pops (consumer).  This replaces the mutex/condvar Mailbox of
-// the thread fabric with the lock-free MpscByteRing on the cross-process
-// hot path.
+// only rank i pops (consumer) — the cross-process counterpart of the
+// thread fabric's lock-free Inbox, with payload bytes copied into a bounded
+// MpscByteRing instead of message handles moved through an unbounded queue.
 //
 // ShmComm subclasses WirePortEngine, so the entire nonblocking port-engine
 // contract — matching, per-tag sequencing, early-arrival stash, drain

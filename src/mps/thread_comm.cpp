@@ -46,15 +46,15 @@ Fabric::Fabric(const FabricOptions& options)
       barrier_(static_cast<std::ptrdiff_t>(options.n)) {
   BRUCK_REQUIRE(options_.n >= 1);
   BRUCK_REQUIRE(options_.k >= 1);
-  mailboxes_.reserve(static_cast<std::size_t>(options_.n));
+  inboxes_.reserve(static_cast<std::size_t>(options_.n));
   for (std::int64_t i = 0; i < options_.n; ++i) {
-    mailboxes_.push_back(std::make_unique<Mailbox>());
+    inboxes_.push_back(std::make_unique<Inbox>());
   }
 }
 
-Mailbox& Fabric::mailbox(std::int64_t rank) {
+Inbox& Fabric::inbox(std::int64_t rank) {
   BRUCK_REQUIRE(rank >= 0 && rank < options_.n);
-  return *mailboxes_[static_cast<std::size_t>(rank)];
+  return *inboxes_[static_cast<std::size_t>(rank)];
 }
 
 void Fabric::arrive_at_barrier() { barrier_.arrive_and_wait(); }
@@ -67,15 +67,16 @@ ThreadComm::ThreadComm(Fabric& fabric, std::int64_t rank)
 }
 
 void ThreadComm::wire_push(Message&& m) {
-  fabric_->mailbox(m.dst).push(std::move(m));
+  (void)fabric_->inbox(m.dst).push(std::move(m));
 }
 
 std::optional<Message> ThreadComm::wire_pop(
     std::span<const std::int64_t> waiting_srcs,
     std::chrono::milliseconds timeout) {
-  Mailbox& box = fabric_->mailbox(rank_);
-  if (timeout.count() == 0) return box.try_pop_any(waiting_srcs);
-  return box.pop_any(waiting_srcs, timeout);
+  // One inbound queue for all sources: the engine stashes messages from
+  // sources (and tags) it is not yet waiting for.
+  (void)waiting_srcs;
+  return fabric_->inbox(rank_).pop(timeout);
 }
 
 void ThreadComm::record_send_event(int round, std::int64_t dst,

@@ -1,16 +1,16 @@
-// The in-process substrate: a Fabric owns the shared state (mailboxes,
+// The in-process substrate: a Fabric owns the shared state (inboxes,
 // trace, barrier) of one simulated machine; each rank thread drives a
 // ThreadComm facade bound to its rank.
 //
-// ThreadComm is the WirePortEngine instantiated over mutex/condvar
-// mailboxes: wire_push deposits (optionally segmented) wire messages into
-// the destination mailbox immediately and never blocks; wire_pop pulls from
-// this rank's own mailbox, filtered to the sources the engine is waiting
-// on.  All the matching/ordering machinery (arrival-order completion, tag
-// namespaces, early-arrival stash, seq checks) lives in the shared engine —
-// ThreadComm stays the bitwise *oracle* substrate the process-spanning
-// backends (shm_comm.hpp, socket_comm.hpp) are differentially tested
-// against.
+// ThreadComm is the WirePortEngine instantiated over lock-free MPSC inboxes
+// (inbox.hpp): wire_push moves (optionally segmented) wire messages into
+// the destination rank's inbox immediately and never blocks; wire_pop takes
+// the oldest message from any source out of this rank's own inbox, waiting
+// on its doorbell (spin → yield → futex park).  All the matching/ordering
+// machinery (arrival-order completion, tag namespaces, early-arrival stash,
+// seq checks) lives in the shared engine — ThreadComm stays the bitwise
+// *oracle* substrate the process-spanning backends (shm_comm.hpp,
+// socket_comm.hpp) are differentially tested against.
 #pragma once
 
 #include <barrier>
@@ -20,7 +20,7 @@
 #include <optional>
 #include <vector>
 
-#include "mps/mailbox.hpp"
+#include "mps/inbox.hpp"
 #include "mps/port_engine.hpp"
 #include "mps/trace.hpp"
 
@@ -66,7 +66,7 @@ class Fabric {
   [[nodiscard]] int k() const { return options_.k; }
   [[nodiscard]] const FabricOptions& options() const { return options_; }
 
-  [[nodiscard]] Mailbox& mailbox(std::int64_t rank);
+  [[nodiscard]] Inbox& inbox(std::int64_t rank);
   [[nodiscard]] Trace& trace() { return trace_; }
   void arrive_at_barrier();
 
@@ -77,7 +77,7 @@ class Fabric {
 
  private:
   FabricOptions options_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::vector<std::unique_ptr<Inbox>> inboxes_;
   Trace trace_;
   std::barrier<> barrier_;
 };
@@ -94,10 +94,10 @@ class Fabric {
 /// Tag namespaces are implemented natively by the shared engine: round
 /// monotonicity, per-round port budgets, and wire sequence numbers are all
 /// kept per tag, and a message matches only receives posted with its tag.
-/// Because the mailbox pop filter is per *source*, a message for a tag
-/// whose receive has not been posted yet can surface while another tag
-/// drains; such early arrivals are stashed and delivered when their receive
-/// is posted.
+/// The inbox surfaces messages from every source and tag in arrival
+/// order, so a message for a tag (or a source) whose receive has not been
+/// posted yet is stashed by the engine and delivered when its receive is
+/// posted.
 class ThreadComm final : public WirePortEngine {
  public:
   ThreadComm(Fabric& fabric, std::int64_t rank);

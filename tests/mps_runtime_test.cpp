@@ -1,13 +1,22 @@
-// The multiport message-passing substrate: mailboxes, the threaded
-// communicator, trace aggregation, and failure behaviour.
+// The multiport message-passing substrate: the lock-free inbox and its
+// doorbell, the threaded communicator, trace aggregation, and failure
+// behaviour.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <new>
 #include <numeric>
+#include <thread>
 #include <vector>
 
-#include "mps/mailbox.hpp"
+#include "mps/doorbell.hpp"
+#include "mps/inbox.hpp"
 #include "mps/runtime.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
@@ -24,96 +33,236 @@ std::vector<std::byte> bytes_of(std::initializer_list<int> vals) {
   return out;
 }
 
-TEST(Mailbox, FifoPerSource) {
-  Mailbox box;
-  Message m1;
-  m1.src = 3;
-  m1.seq = 0;
-  m1.payload = bytes_of({1});
-  Message m2 = m1;
-  m2.seq = 1;
-  m2.payload = bytes_of({2});
-  box.push(m1);
-  box.push(m2);
-  EXPECT_EQ(box.pending(), 2u);
-  EXPECT_EQ(box.pop_from(3, 1000ms).payload, bytes_of({1}));
-  EXPECT_EQ(box.pop_from(3, 1000ms).payload, bytes_of({2}));
-  EXPECT_EQ(box.pending(), 0u);
-}
-
-TEST(Mailbox, SelectsBySource) {
-  Mailbox box;
-  Message a;
-  a.src = 1;
-  a.payload = bytes_of({10});
-  Message b;
-  b.src = 2;
-  b.payload = bytes_of({20});
-  box.push(a);
-  box.push(b);
-  EXPECT_EQ(box.pop_from(2, 1000ms).payload, bytes_of({20}));
-  EXPECT_EQ(box.pop_from(1, 1000ms).payload, bytes_of({10}));
-}
-
-TEST(Mailbox, PendingBytesTracksQueuedPayloads) {
-  Mailbox box;
-  Message a;
-  a.src = 1;
-  a.payload = bytes_of({1, 2, 3});
-  Message b;
-  b.src = 2;
-  b.payload = bytes_of({4, 5});
-  box.push(std::move(a));
-  box.push(std::move(b));
-  EXPECT_EQ(box.pending(), 2u);
-  EXPECT_EQ(box.pending_bytes(), 5u);
-  (void)box.pop_from(1, 1000ms);
-  EXPECT_EQ(box.pending_bytes(), 2u);
-  (void)box.pop_from(2, 1000ms);
-  EXPECT_EQ(box.pending_bytes(), 0u);
-}
-
-TEST(Mailbox, TryPopAnySelectsAmongSourcesWithoutBlocking) {
-  Mailbox box;
-  EXPECT_FALSE(box.try_pop_any(std::vector<std::int64_t>{1, 2}).has_value());
+Message message_from(std::int64_t src, std::int64_t seq,
+                     std::initializer_list<int> vals) {
   Message m;
-  m.src = 2;
-  m.payload = bytes_of({7});
-  box.push(std::move(m));
-  // Source 2 has a message but is outside the requested set.
-  EXPECT_FALSE(box.try_pop_any(std::vector<std::int64_t>{1, 3}).has_value());
-  const auto got = box.try_pop_any(std::vector<std::int64_t>{1, 2});
+  m.src = src;
+  m.seq = seq;
+  m.payload = bytes_of(vals);
+  return m;
+}
+
+TEST(Inbox, FifoPerSourceInArrivalOrder) {
+  // No source filter: the oldest message from any source comes out first,
+  // and each source's messages keep their order.
+  Inbox box;
+  box.push(message_from(3, 0, {1}));
+  box.push(message_from(1, 0, {10}));
+  box.push(message_from(3, 1, {2}));
+  const std::int64_t want_src[] = {3, 1, 3};
+  const std::vector<std::byte> want_payload[] = {bytes_of({1}),
+                                                  bytes_of({10}),
+                                                  bytes_of({2})};
+  for (int i = 0; i < 3; ++i) {
+    const auto m = box.pop(1000ms);
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->src, want_src[i]);
+    EXPECT_EQ(m->payload, want_payload[i]);
+  }
+  EXPECT_FALSE(box.try_pop().has_value());
+}
+
+TEST(Inbox, TryPopNeverBlocks) {
+  Inbox box;
+  EXPECT_FALSE(box.try_pop().has_value());
+  EXPECT_FALSE(box.pop(0ms).has_value());  // 0 = poll
+  box.push(message_from(2, 0, {7}));
+  const auto got = box.try_pop();
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->src, 2);
   EXPECT_EQ(got->payload, bytes_of({7}));
 }
 
-TEST(Mailbox, PopAnyTimesOutWithEmptyOptional) {
-  Mailbox box;
-  EXPECT_FALSE(box.pop_any(std::vector<std::int64_t>{4}, 50ms).has_value());
-}
-
-TEST(Mailbox, MovesPayloadBuffersEndToEnd) {
+TEST(Inbox, MovesPayloadBuffersEndToEnd) {
   // push/pop never copy the payload: the buffer that goes in is the buffer
-  // that comes out.
-  Mailbox box;
-  Message m;
-  m.src = 5;
-  m.payload = bytes_of({1, 2, 3, 4});
-  const std::byte* data = m.payload.data();
-  box.push(std::move(m));
-  const Message out = box.pop_from(5, 1000ms);
-  EXPECT_EQ(out.payload.data(), data);
+  // that comes out — an owned vector and a shared segment buffer alike.
+  Inbox box;
+  Message whole = message_from(5, 0, {1, 2, 3, 4});
+  const std::byte* data = whole.payload.data();
+  box.push(std::move(whole));
+  Message segment;
+  segment.src = 5;
+  segment.seq = 1;
+  segment.shared =
+      std::make_shared<const std::vector<std::byte>>(bytes_of({5, 6, 7}));
+  segment.shared_offset = 1;
+  segment.shared_length = 2;
+  const std::vector<std::byte>* shared = segment.shared.get();
+  box.push(std::move(segment));
+  const auto out_whole = box.pop(1000ms);
+  ASSERT_TRUE(out_whole.has_value());
+  EXPECT_EQ(out_whole->payload.data(), data);
+  const auto out_segment = box.pop(1000ms);
+  ASSERT_TRUE(out_segment.has_value());
+  EXPECT_EQ(out_segment->shared.get(), shared);
+  EXPECT_EQ(out_segment->view().data(), shared->data() + 1);
+  EXPECT_EQ(out_segment->size_bytes(), 2u);
 }
 
-TEST(Mailbox, TimeoutThrowsDiagnostic) {
-  Mailbox box;
+TEST(Inbox, PopTimesOutWithEmptyOptional) {
+  Inbox box;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(box.pop(50ms).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - t0, 50ms);
+}
+
+TEST(Inbox, ReceiveTimeoutNamesTheAwaitedSource) {
+  // The inbox only reports "nothing arrived"; the port engine turns an
+  // expired receive deadline into a diagnostic naming the awaited rank.
+  FabricOptions options;
+  options.n = 3;
+  options.k = 1;
+  options.recv_timeout = 100ms;
   try {
-    (void)box.pop_from(7, 50ms);
+    run_spmd(options, [&](Communicator& comm) {
+      if (comm.rank() != 0) return;
+      std::vector<std::byte> in(1);
+      comm.wait_recv(comm.post_recv(0, 2, in));  // rank 2 never sends
+    });
     FAIL() << "expected timeout";
   } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("timed out"), std::string::npos) << what;
+    EXPECT_NE(what.find("waiting on rank(s) 2"), std::string::npos) << what;
   }
+}
+
+TEST(Inbox, StressManyProducersWithAParkingConsumer) {
+  // 8 producers × 10k messages into one inbox, pushed in bursts.  Between
+  // bursts the producers hold off until the consumer has drained everything
+  // and then for a few milliseconds more, so the consumer runs out of work
+  // and parks on the futex over and over.  Every message must arrive
+  // exactly once, in sequence order per source.
+  constexpr int kProducers = 8;
+  constexpr int kPerProducer = 10'000;
+  constexpr int kBursts = 10;
+  constexpr int kPerBurst = kPerProducer / kBursts;
+  constexpr int kTotal = kProducers * kPerProducer;
+  Inbox box;
+  std::atomic<int> pushed{0};
+  std::atomic<int> consumed{0};
+  std::atomic<int> woke_parked{0};
+  std::atomic<bool> consumer_failed{false};
+  // Burst boundary: wait for the consumer to catch up, then stay quiet long
+  // enough (spin and yield budgets are tens of microseconds) that it parks.
+  std::barrier burst_end(kProducers, [&]() noexcept {
+    while (consumed.load() < pushed.load() && !consumer_failed.load()) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(5ms);
+  });
+  std::vector<std::jthread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int burst = 0; burst < kBursts; ++burst) {
+        for (int i = 0; i < kPerBurst; ++i) {
+          const int seq = burst * kPerBurst + i;
+          pushed.fetch_add(1);
+          if (box.push(message_from(p, seq, {(p ^ seq) & 0xFF}))) {
+            woke_parked.fetch_add(1);
+          }
+        }
+        burst_end.arrive_and_wait();
+      }
+    });
+  }
+  std::vector<std::int64_t> next_seq(kProducers, 0);
+  for (int got = 0; got < kTotal; ++got) {
+    const auto m = box.pop(30s);
+    if (!m.has_value()) {
+      consumer_failed.store(true);
+      ADD_FAILURE() << "inbox starved after " << got << " messages";
+      break;
+    }
+    const auto src = static_cast<std::size_t>(m->src);
+    const bool in_order = m->src >= 0 && m->src < kProducers &&
+                          m->seq == next_seq[src] &&
+                          m->payload == bytes_of({static_cast<int>(
+                                             (m->src ^ m->seq) & 0xFF)});
+    if (!in_order) {
+      consumer_failed.store(true);
+      ADD_FAILURE() << "message " << got << " from " << m->src << " seq "
+                    << m->seq << " out of order or corrupt";
+      break;
+    }
+    ++next_seq[src];
+    consumed.fetch_add(1);
+  }
+  producers.clear();  // join
+  EXPECT_EQ(consumed.load(), kTotal);
+  for (int p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(next_seq[static_cast<std::size_t>(p)], kPerProducer);
+  }
+  EXPECT_FALSE(box.try_pop().has_value());
+  EXPECT_GT(woke_parked.load(), 0);  // the consumer really parked
+}
+
+TEST(Doorbell, RingWithoutStateChangeDeliversNothing) {
+  // A spurious wake — here a ring while the waiter's condition stays false
+  // — must not end the wait: the waiter re-parks until its deadline.
+  Doorbell bell;
+  std::atomic<bool> published{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> woke_parked{0};
+  std::jthread ringer([&] {
+    while (!done.load()) {
+      std::this_thread::sleep_for(10ms);
+      if (bell.ring()) woke_parked.fetch_add(1);
+    }
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool ready = bell.wait_until([&] { return published.load(); },
+                                     t0 + 200ms);
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  done.store(true);
+  ringer.join();
+  EXPECT_FALSE(ready);
+  EXPECT_GE(waited, 200ms);
+  EXPECT_GT(woke_parked.load(), 0);  // the rings really reached a parked waiter
+}
+
+TEST(Doorbell, RingAfterPublishWakesAParkedWaiter) {
+  Doorbell bell;
+  std::atomic<bool> published{false};
+  std::jthread producer([&] {
+    std::this_thread::sleep_for(20ms);  // long enough for the waiter to park
+    published.store(true);
+    (void)bell.ring();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(bell.wait_until([&] { return published.load(); }, t0 + 20s));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 10s);
+}
+
+TEST(Doorbell, WakesAWaiterInAnotherProcessThroughASharedMapping) {
+  // The doorbell is one 32-bit word on process-shared futex operations, so
+  // a forked child can park on it in a MAP_SHARED mapping and be rung by
+  // the parent.
+  struct Shared {
+    Doorbell bell;
+    std::atomic<std::uint32_t> published{0};
+  };
+  void* mem = ::mmap(nullptr, sizeof(Shared), PROT_READ | PROT_WRITE,
+                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  ASSERT_NE(mem, MAP_FAILED);
+  auto* shared = new (mem) Shared;
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const bool ok = shared->bell.wait_until(
+        [&] { return shared->published.load() != 0; },
+        Doorbell::Clock::now() + 20s);
+    ::_exit(ok ? 0 : 1);
+  }
+  std::this_thread::sleep_for(50ms);  // let the child park
+  shared->published.store(1);
+  (void)shared->bell.ring();
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  shared->~Shared();
+  ::munmap(mem, sizeof(Shared));
 }
 
 TEST(Runtime, PingPongDeliversPayload) {
@@ -361,7 +510,7 @@ TEST(Runtime, TagNamespacesInterleaveIndependently) {
 
 TEST(Runtime, EarlyArrivalForUnpostedTagIsStashed) {
   // Rank 0 sends tag 2 *before* tag 1; rank 1 waits on tag 1 first.  The
-  // mailbox pops per source, so the tag-2 message surfaces while tag 1
+  // inbox pops in arrival order, so the tag-2 message surfaces while tag 1
   // drains — it must be stashed and delivered when its receive is finally
   // posted, not dropped or misdelivered.
   run_spmd(2, 1, [&](Communicator& comm) {
@@ -374,7 +523,7 @@ TEST(Runtime, EarlyArrivalForUnpostedTagIsStashed) {
       comm.post_send(0, 1, std::span<const std::byte>(second), 1, t1);
       comm.barrier();
     } else {
-      comm.barrier();  // both sends are already in the mailbox
+      comm.barrier();  // both sends are already in the inbox
       std::vector<std::byte> in1(second.size());
       const PortHandle h1 = comm.post_recv(0, 0, in1, 1, t1);
       comm.wait_recv(h1);  // pops (and stashes) the earlier tag-2 message

@@ -3,6 +3,9 @@
 // races or port-accounting slips in the substrate.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <vector>
+
 #include "coll/api.hpp"
 #include "coll/verify.hpp"
 #include "mps/group.hpp"
@@ -129,6 +132,35 @@ TEST(Stress, AutoApiAtModeratelyLargeScale) {
         return coll::alltoall(comm, send, recv, 200);
       });
   EXPECT_EQ(run.error, "");
+}
+
+TEST(Stress, OversubscribedThreadFabricSmallAlltoalls) {
+  // More rank threads than cores (8 and 16 on a typical 4-core CI host):
+  // the inbox waits must yield and park rather than spin, or a waiting
+  // rank starves the peer it waits for.  500 back-to-back checked 64 B
+  // alltoalls per world must all complete under the default receive
+  // timeout.
+  constexpr int kCalls = 500;
+  constexpr std::int64_t b = 64;
+  for (const std::int64_t n : {8, 16}) {
+    std::atomic<int> bad{0};
+    mps::run_spmd(n, 1, [&](mps::Communicator& comm) {
+      std::vector<std::byte> send(static_cast<std::size_t>(n * b));
+      std::vector<std::byte> recv(send.size());
+      int next = 0;
+      for (int call = 0; call < kCalls; ++call) {
+        const auto seed = static_cast<std::uint64_t>(call);
+        coll::fill_index_send(send, n, comm.rank(), b, seed);
+        coll::AlltoallOptions o;
+        o.start_round = next;
+        next = coll::alltoall(comm, send, recv, b, o);
+        if (!coll::check_index_recv(recv, n, comm.rank(), b, seed).empty()) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+    EXPECT_EQ(bad.load(), 0) << "n=" << n;
+  }
 }
 
 }  // namespace

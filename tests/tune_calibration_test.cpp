@@ -115,7 +115,7 @@ TEST(Calibration, SocketBetaExceedsSharedMemoryFabrics) {
   }
   EXPECT_TRUE(ordered) << "beta us: thread=" << thread_beta
                        << " shm=" << shm_beta << " socket=" << socket_beta;
-  // shm vs thread is host-dependent (rings vs mailboxes); report, don't
+  // shm vs thread is host-dependent (rings vs inboxes); report, don't
   // assert.
   std::printf("measured beta us: thread=%g shm=%g socket=%g\n", thread_beta,
               shm_beta, socket_beta);
