@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "coll/bcast.hpp"
+#include "coll/call_memo.hpp"
 #include "coll/composite.hpp"
 #include "coll/gather_scatter.hpp"
 #include "coll/plan_cache.hpp"
@@ -147,40 +148,65 @@ double wall_since_us(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// The blocking facade's one execution tail: fetch (or lower once) the
-/// plan for `key`, run it through Plan::run_pipelined with the family's
-/// run arguments (block size or VectorView, ReduceOp, start round,
-/// layouts), and report the cache/round/byte statistics as a PlanEvent.
-/// `wall_out`, when given, receives the measured execution wall time in
-/// microseconds (also carried on the PlanEvent).
+/// The blocking facade's one execution tail: run `plan` through
+/// Plan::run_pipelined with the family's run arguments (block size or
+/// VectorView, ReduceOp, start round, layouts), and report the
+/// cache/round/byte statistics as a PlanEvent.  `wall_out`, when given,
+/// receives the measured execution wall time in microseconds (also carried
+/// on the PlanEvent).
 template <typename... RunArgs>
-int run_compiled(mps::Communicator& comm, const PlanKey& key,
-                 double* wall_out, std::span<const std::byte> send,
-                 std::span<std::byte> recv, const RunArgs&... args) {
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
+int run_plan(mps::Communicator& comm, const Plan& plan, bool cache_hit,
+             double* wall_out, std::span<const std::byte> send,
+             std::span<std::byte> recv, const RunArgs&... args) {
   const auto start = std::chrono::steady_clock::now();
-  const PlanExecution ex =
-      lookup.plan->run_pipelined(comm, send, recv, args...);
+  const PlanExecution ex = plan.run_pipelined(comm, send, recv, args...);
   const double wall_us = wall_since_us(start);
-  mps::PlanEvent event{lookup.cache_hit, lookup.plan->round_count(),
-                       ex.bytes_sent, ex.bytes_reduced};
+  mps::PlanEvent event{cache_hit, plan.round_count(), ex.bytes_sent,
+                       ex.bytes_reduced};
   event.wall_us = wall_us;
   comm.record_plan_event(event);
   if (wall_out != nullptr) *wall_out = wall_us;
   return ex.next_round;
 }
 
-/// One collective call's resolved execution recipe, shared by every
-/// blocking and i* overload of a family: the plan key (the tuned
-/// algorithm, radix or last-round strategy, wire segment count, and layout
-/// digest are all part of it), the modeled measures behind the choice (the
-/// segment tuner's and the fusion decision's input), and the machine the
-/// recipe was tuned under.
-struct Recipe {
-  PlanKey key;
-  model::CostMetrics predicted;
-  model::LinearModel machine;
+/// run_plan on the plan for `key`, fetched (or lowered once) from the
+/// PlanCache.
+template <typename... RunArgs>
+int run_compiled(mps::Communicator& comm, const PlanKey& key,
+                 double* wall_out, std::span<const std::byte> send,
+                 std::span<std::byte> recv, const RunArgs&... args) {
+  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(key);
+  return run_plan(comm, *lookup.plan, lookup.cache_hit, wall_out, send, recv,
+                  args...);
+}
+
+/// A flat call's recipe and plan, and whether they came without planning
+/// work (a memo hit or a PlanCache hit).
+struct ResolvedCall {
+  const CallMemo::Entry& entry;
+  bool cache_hit = false;
 };
+
+/// The recipe and plan for `signature`: the communicator's memo entry when
+/// it is current, else `resolve()` and the PlanCache, remembered for the
+/// next call (see coll/call_memo.hpp).  The epoch is read before resolving,
+/// so a resolution that races a tuning-state write is stored under the
+/// older epoch and misses next time.
+template <typename Resolve>
+ResolvedCall resolve_memoized(mps::Communicator& comm,
+                              const CallSignature& signature,
+                              const Resolve& resolve) {
+  CallMemo& memo = CommState::of(comm).memo;
+  const std::uint64_t epoch = model::tuning_epoch();
+  if (const CallMemo::Entry* hit = memo.find(signature, epoch)) {
+    PlanCache::global().note_hit();
+    return {*hit, true};
+  }
+  const Recipe recipe = resolve();
+  PlanCache::Lookup lookup = PlanCache::global().get_or_lower(recipe.key);
+  return {memo.store(signature, epoch, recipe, std::move(lookup.plan)),
+          lookup.cache_hit};
+}
 
 /// The wire segment count for `predicted` under the user knob `requested`.
 /// A learned tuner force (`hint`, 0 = none) stands in for an untouched
@@ -193,12 +219,54 @@ int resolve_segments(int requested, int hint,
       machine, predicted);
 }
 
+/// plan_alltoall under an already effective `machine`.
+AlltoallPlan plan_alltoall_under(std::int64_t n, int k,
+                                 std::int64_t block_bytes,
+                                 const AlltoallOptions& options,
+                                 const model::LinearModel& machine) {
+  BRUCK_REQUIRE(n >= 1);
+  BRUCK_REQUIRE(k >= 1);
+  AlltoallPlan plan;
+  switch (options.algorithm) {
+    case IndexAlgorithm::kDirect:
+      plan.algorithm = IndexAlgorithm::kDirect;
+      plan.radix = std::max<std::int64_t>(2, n);
+      plan.predicted = model::index_direct_cost(n, k, block_bytes);
+      break;
+    case IndexAlgorithm::kPairwise:
+      plan.algorithm = IndexAlgorithm::kPairwise;
+      plan.radix = std::max<std::int64_t>(2, n);
+      plan.predicted = model::index_pairwise_cost(n, k, block_bytes);
+      break;
+    case IndexAlgorithm::kBruck:
+    case IndexAlgorithm::kAuto: {
+      plan.algorithm = IndexAlgorithm::kBruck;
+      if (options.radix != 0) {
+        plan.radix = options.radix;
+        plan.predicted =
+            model::index_bruck_cost(n, plan.radix, k, block_bytes);
+      } else {
+        // Memoized: repeated kAuto calls on one geometry skip the sweep.
+        const model::RadixChoice choice = model::pick_index_radix_cached(
+            n, k, block_bytes, machine, options.radix_set);
+        plan.radix = choice.radix;
+        plan.predicted = choice.metrics;
+        plan.segments_hint = choice.segments_hint;
+      }
+      break;
+    }
+  }
+  plan.predicted_us = machine.predict_us(plan.predicted);
+  return plan;
+}
+
 Recipe resolve_alltoall(std::int64_t n, int k, std::int64_t block_bytes,
                         const AlltoallOptions& options,
                         const LayoutPair& layouts = {}) {
-  const AlltoallPlan plan = plan_alltoall(n, k, block_bytes, options);
   Recipe r;
   r.machine = model::effective_machine(options.machine);
+  const AlltoallPlan plan =
+      plan_alltoall_under(n, k, block_bytes, options, r.machine);
   r.predicted = plan.predicted;
   r.key = index_plan_key(
       plan.algorithm, n, k, plan.radix,
@@ -246,11 +314,13 @@ Recipe resolve_reduce_scatter(std::int64_t n, int k, std::int64_t block_bytes,
                               const ReduceOp& op,
                               const ReduceScatterOptions& options,
                               const LayoutPair& layouts = {}) {
-  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
-      n, k, block_bytes, options.algorithm, options.radix, options.machine,
-      options.radix_set);
   Recipe r;
   r.machine = model::effective_machine(options.machine);
+  // The effective machine passes through resolve_reduce_algorithm's own
+  // effective_machine unchanged (the substitution is idempotent).
+  const detail::ReducePlanChoice choice = detail::resolve_reduce_algorithm(
+      n, k, block_bytes, options.algorithm, options.radix, r.machine,
+      options.radix_set);
   r.predicted = choice.predicted;
   r.key = reduce_plan_key(
       choice.algorithm, n, k, choice.radix, op,
@@ -260,9 +330,44 @@ Recipe resolve_reduce_scatter(std::int64_t n, int k, std::int64_t block_bytes,
   return r;
 }
 
+/// The memoized resolution of a flat call on `comm`, one per family.
+ResolvedCall resolve_call(mps::Communicator& comm, std::int64_t block_bytes,
+                          const AlltoallOptions& options,
+                          const LayoutPair& layouts = {}) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  return resolve_memoized(
+      comm, call_signature(n, k, block_bytes, options, layouts),
+      [&] { return resolve_alltoall(n, k, block_bytes, options, layouts); });
+}
+
+ResolvedCall resolve_call(mps::Communicator& comm, std::int64_t block_bytes,
+                          const AllgatherOptions& options,
+                          const LayoutPair& layouts = {}) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  return resolve_memoized(
+      comm, call_signature(n, k, block_bytes, options, layouts),
+      [&] { return resolve_allgather(n, k, block_bytes, options, layouts); });
+}
+
+ResolvedCall resolve_call(mps::Communicator& comm, std::int64_t block_bytes,
+                          const ReduceOp& op,
+                          const ReduceScatterOptions& options,
+                          const LayoutPair& layouts = {}) {
+  const std::int64_t n = comm.size();
+  const int k = comm.ports();
+  return resolve_memoized(
+      comm, call_signature(n, k, block_bytes, op, options, layouts), [&] {
+        return resolve_reduce_scatter(n, k, block_bytes, op, options,
+                                      layouts);
+      });
+}
+
 /// Run a plain blocking call's recipe through `run(key, wall_out)`, with
 /// live adaptive exploration when the call is fully tuner-driven (Bruck,
-/// no forced radix or segment count) and a tuner installed the hook.  The
+/// no forced radix or segment count) and a tuner installed the hook.  Such
+/// calls come here instead of through the call memo.  The
 /// decided config — not its clamped resolution — is echoed back with the
 /// measured wall time so the learner can match the arm it scheduled.
 template <typename Run>
@@ -348,6 +453,19 @@ OpSpec make_spec(OpSpec::Family family, std::span<const std::byte> send,
     spec.recv_layout = *layouts.recv;
     spec.has_layout = true;
   }
+  return spec;
+}
+
+/// make_spec for a memoized flat call: the spec also carries its plan.
+template <typename Options>
+OpSpec make_spec(OpSpec::Family family, std::span<const std::byte> send,
+                 std::span<std::byte> recv, std::int64_t block_bytes,
+                 const ResolvedCall& call, const Options& options,
+                 const LayoutPair& layouts) {
+  OpSpec spec = make_spec(family, send, recv, block_bytes, call.entry.recipe,
+                          options, layouts);
+  spec.plan = call.entry.plan;
+  spec.plan_hit = call.cache_hit;
   return spec;
 }
 
@@ -666,43 +784,10 @@ Request submit_iallreduce(mps::Communicator& comm,
 
 AlltoallPlan plan_alltoall(std::int64_t n, int k, std::int64_t block_bytes,
                            const AlltoallOptions& options) {
-  BRUCK_REQUIRE(n >= 1);
-  BRUCK_REQUIRE(k >= 1);
   // A default-machine caller gets the calibrated constants when a fabric
   // bootstrap published them (see model::effective_machine).
-  const model::LinearModel machine = model::effective_machine(options.machine);
-  AlltoallPlan plan;
-  switch (options.algorithm) {
-    case IndexAlgorithm::kDirect:
-      plan.algorithm = IndexAlgorithm::kDirect;
-      plan.radix = std::max<std::int64_t>(2, n);
-      plan.predicted = model::index_direct_cost(n, k, block_bytes);
-      break;
-    case IndexAlgorithm::kPairwise:
-      plan.algorithm = IndexAlgorithm::kPairwise;
-      plan.radix = std::max<std::int64_t>(2, n);
-      plan.predicted = model::index_pairwise_cost(n, k, block_bytes);
-      break;
-    case IndexAlgorithm::kBruck:
-    case IndexAlgorithm::kAuto: {
-      plan.algorithm = IndexAlgorithm::kBruck;
-      if (options.radix != 0) {
-        plan.radix = options.radix;
-        plan.predicted =
-            model::index_bruck_cost(n, plan.radix, k, block_bytes);
-      } else {
-        // Memoized: repeated kAuto calls on one geometry skip the sweep.
-        const model::RadixChoice choice = model::pick_index_radix_cached(
-            n, k, block_bytes, machine, options.radix_set);
-        plan.radix = choice.radix;
-        plan.predicted = choice.metrics;
-        plan.segments_hint = choice.segments_hint;
-      }
-      break;
-    }
-  }
-  plan.predicted_us = machine.predict_us(plan.predicted);
-  return plan;
+  return plan_alltoall_under(n, k, block_bytes, options,
+                             model::effective_machine(options.machine));
 }
 
 int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
@@ -746,14 +831,20 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
     }
   }
 
-  return run_tuned(
-      model::TunedFamily::kIndexRadix, n, k, block_bytes,
-      resolve_alltoall(n, k, block_bytes, options),
-      bruck_family && options.radix == 0 && options.segments == 0,
-      [&](const PlanKey& key, double* wall_out) {
-        return run_compiled(comm, key, wall_out, send, recv, block_bytes,
-                            options.start_round);
-      });
+  // Fully tuner-driven calls under an adaptive hook skip the memo, so the
+  // hook sees every call.
+  if (bruck_family && options.radix == 0 && options.segments == 0 &&
+      model::adaptive_hook_installed()) {
+    return run_tuned(model::TunedFamily::kIndexRadix, n, k, block_bytes,
+                     resolve_alltoall(n, k, block_bytes, options), true,
+                     [&](const PlanKey& key, double* wall_out) {
+                       return run_compiled(comm, key, wall_out, send, recv,
+                                           block_bytes, options.start_round);
+                     });
+  }
+  const ResolvedCall call = resolve_call(comm, block_bytes, options);
+  return run_plan(comm, *call.entry.plan, call.cache_hit, nullptr, send, recv,
+                  block_bytes, options.start_round);
 }
 
 int alltoall_staged(mps::Communicator& comm, std::span<const std::byte> send,
@@ -790,9 +881,9 @@ int alltoall(mps::Communicator& comm, std::span<const std::byte> send,
                            options);
   }
   const LayoutPair layouts{&send_layout, &recv_layout};
-  return run_compiled(
-      comm, resolve_alltoall(n, comm.ports(), b, options, layouts).key,
-      nullptr, send, recv, b, options.start_round, layouts);
+  const ResolvedCall call = resolve_call(comm, b, options, layouts);
+  return run_plan(comm, *call.entry.plan, call.cache_hit, nullptr, send, recv,
+                  b, options.start_round, layouts);
 }
 
 int allgather(mps::Communicator& comm, std::span<const std::byte> send,
@@ -831,8 +922,9 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
     }
   }
 
-  return run_compiled(comm, resolve_allgather(n, k, block_bytes, options).key,
-                      nullptr, send, recv, block_bytes, options.start_round);
+  const ResolvedCall call = resolve_call(comm, block_bytes, options);
+  return run_plan(comm, *call.entry.plan, call.cache_hit, nullptr, send, recv,
+                  block_bytes, options.start_round);
 }
 
 int allgather(mps::Communicator& comm, std::span<const std::byte> send,
@@ -854,9 +946,9 @@ int allgather(mps::Communicator& comm, std::span<const std::byte> send,
     return next;
   }
   const LayoutPair layouts{&send_layout, &recv_layout};
-  return run_compiled(
-      comm, resolve_allgather(n, comm.ports(), b, options, layouts).key,
-      nullptr, send, recv, b, options.start_round, layouts);
+  const ResolvedCall call = resolve_call(comm, b, options, layouts);
+  return run_plan(comm, *call.entry.plan, call.cache_hit, nullptr, send, recv,
+                  b, options.start_round, layouts);
 }
 
 int alltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1019,17 +1111,22 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
     }
   }
 
-  // Live adaptive exploration (see run_tuned): tuner-driven Bruck calls
-  // only — kAuto may still resolve to direct.
-  const Recipe r = resolve_reduce_scatter(n, k, block_bytes, op, options);
-  return run_tuned(
-      model::TunedFamily::kReduceScatter, n, k, block_bytes, r,
-      r.key.algorithm == static_cast<std::uint8_t>(ReduceAlgorithm::kBruck) &&
-          bruck_family && options.radix == 0 && options.segments == 0,
-      [&](const PlanKey& key, double* wall_out) {
-        return run_compiled(comm, key, wall_out, send, recv, block_bytes, op,
-                            options.start_round);
-      });
+  // Live adaptive exploration (see run_tuned) skips the memo: tuner-driven
+  // Bruck calls only — kAuto may still resolve to direct.
+  if (bruck_family && options.radix == 0 && options.segments == 0 &&
+      model::adaptive_hook_installed()) {
+    const Recipe r = resolve_reduce_scatter(n, k, block_bytes, op, options);
+    return run_tuned(
+        model::TunedFamily::kReduceScatter, n, k, block_bytes, r,
+        r.key.algorithm == static_cast<std::uint8_t>(ReduceAlgorithm::kBruck),
+        [&](const PlanKey& key, double* wall_out) {
+          return run_compiled(comm, key, wall_out, send, recv, block_bytes,
+                              op, options.start_round);
+        });
+  }
+  const ResolvedCall call = resolve_call(comm, block_bytes, op, options);
+  return run_plan(comm, *call.entry.plan, call.cache_hit, nullptr, send, recv,
+                  block_bytes, op, options.start_round);
 }
 
 int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1054,10 +1151,9 @@ int reduce_scatter(mps::Communicator& comm, std::span<const std::byte> send,
     return next;
   }
   const LayoutPair layouts{&send_layout, &recv_layout};
-  return run_compiled(
-      comm,
-      resolve_reduce_scatter(n, comm.ports(), b, op, options, layouts).key,
-      nullptr, send, recv, b, op, options.start_round, layouts);
+  const ResolvedCall call = resolve_call(comm, b, op, options, layouts);
+  return run_plan(comm, *call.entry.plan, call.cache_hit, nullptr, send, recv,
+                  b, op, options.start_round, layouts);
 }
 
 int allreduce(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1110,9 +1206,7 @@ Request ialltoall(mps::Communicator& comm, std::span<const std::byte> send,
                   const AlltoallOptions& options) {
   return ProgressEngine::for_comm(comm).submit(
       make_spec(OpSpec::Family::kAlltoall, send, recv, block_bytes,
-                resolve_alltoall(comm.size(), comm.ports(), block_bytes,
-                                 options),
-                options, {}));
+                resolve_call(comm, block_bytes, options), options, {}));
 }
 
 Request ialltoall(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1129,8 +1223,7 @@ Request ialltoall(mps::Communicator& comm, std::span<const std::byte> send,
   const LayoutPair layouts{&send_layout, &recv_layout};
   return ProgressEngine::for_comm(comm).submit(
       make_spec(OpSpec::Family::kAlltoall, send, recv, b,
-                resolve_alltoall(n, comm.ports(), b, options, layouts),
-                options, layouts));
+                resolve_call(comm, b, options, layouts), options, layouts));
 }
 
 Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1138,9 +1231,7 @@ Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
                    const AllgatherOptions& options) {
   return ProgressEngine::for_comm(comm).submit(
       make_spec(OpSpec::Family::kAllgather, send, recv, block_bytes,
-                resolve_allgather(comm.size(), comm.ports(), block_bytes,
-                                  options),
-                options, {}));
+                resolve_call(comm, block_bytes, options), options, {}));
 }
 
 Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1158,8 +1249,7 @@ Request iallgather(mps::Communicator& comm, std::span<const std::byte> send,
   const LayoutPair layouts{&send_layout, &recv_layout};
   return ProgressEngine::for_comm(comm).submit(
       make_spec(OpSpec::Family::kAllgather, send, recv, b,
-                resolve_allgather(n, comm.ports(), b, options, layouts),
-                options, layouts));
+                resolve_call(comm, b, options, layouts), options, layouts));
 }
 
 Request ialltoallv(mps::Communicator& comm, std::span<const std::byte> send,
@@ -1192,11 +1282,10 @@ Request ireduce_scatter(mps::Communicator& comm,
                         const ReduceOp& op,
                         const ReduceScatterOptions& options) {
   check_whole_elems(block_bytes, op);
-  OpSpec spec = make_spec(
-      OpSpec::Family::kReduceScatter, send, recv, block_bytes,
-      resolve_reduce_scatter(comm.size(), comm.ports(), block_bytes, op,
-                             options),
-      options, {});
+  OpSpec spec = make_spec(OpSpec::Family::kReduceScatter, send, recv,
+                          block_bytes,
+                          resolve_call(comm, block_bytes, op, options),
+                          options, {});
   spec.op = op;
   return ProgressEngine::for_comm(comm).submit(std::move(spec));
 }
@@ -1216,10 +1305,9 @@ Request ireduce_scatter(mps::Communicator& comm,
   }
   check_whole_elems(b, op);
   const LayoutPair layouts{&send_layout, &recv_layout};
-  OpSpec spec = make_spec(
-      OpSpec::Family::kReduceScatter, send, recv, b,
-      resolve_reduce_scatter(n, comm.ports(), b, op, options, layouts),
-      options, layouts);
+  OpSpec spec = make_spec(OpSpec::Family::kReduceScatter, send, recv, b,
+                          resolve_call(comm, b, op, options, layouts),
+                          options, layouts);
   spec.op = op;
   return ProgressEngine::for_comm(comm).submit(std::move(spec));
 }

@@ -2,6 +2,7 @@
 
 #include <bit>
 
+#include "model/tuner.hpp"
 #include "util/assert.hpp"
 
 namespace bruck::coll {
@@ -312,16 +313,21 @@ PlanCache::Lookup PlanCache::get_or_lower(const PlanKey& key) {
 
 PlanCacheStats PlanCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return PlanCacheStats{hits_, misses_, evictions_, plans_.size()};
+  return PlanCacheStats{hits_ + memo_hits_.load(std::memory_order_relaxed),
+                        misses_, evictions_, plans_.size()};
 }
 
 void PlanCache::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  plans_.clear();
-  lru_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    plans_.clear();
+    lru_.clear();
+    hits_ = 0;
+    misses_ = 0;
+    evictions_ = 0;
+    memo_hits_.store(0, std::memory_order_relaxed);
+  }
+  model::bump_tuning_epoch();
 }
 
 PlanCache& PlanCache::global() {

@@ -21,6 +21,7 @@
 // its own entry.  A digest of 0 marks a uniform key.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <future>
 #include <list>
@@ -178,7 +179,13 @@ class PlanCache {
   /// lowering's future and all but one report a hit.
   Lookup get_or_lower(const PlanKey& key);
 
+  /// Count one hit served outside the cache: a communicator's call memo
+  /// (coll/call_memo.hpp) reusing a plan it fetched from here.  Lock-free.
+  void note_hit() { memo_hits_.fetch_add(1, std::memory_order_relaxed); }
+
   [[nodiscard]] PlanCacheStats stats() const;
+  /// Drop every plan and zero the counters.  Also bumps the tuning epoch,
+  /// so no call memo keeps running a plan lowered before the clear.
   void clear();
 
   /// The process-wide cache used by the coll:: facade.
@@ -203,6 +210,7 @@ class PlanCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
+  std::atomic<std::uint64_t> memo_hits_{0};
 };
 
 }  // namespace bruck::coll

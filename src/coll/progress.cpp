@@ -19,6 +19,7 @@
 #include <exception>
 #include <utility>
 
+#include "coll/call_memo.hpp"
 #include "coll/composite.hpp"
 #include "coll/plan.hpp"
 #include "util/assert.hpp"
@@ -146,12 +147,9 @@ ProgressEngine::ProgressEngine(mps::Communicator& comm)
 ProgressEngine::~ProgressEngine() = default;
 
 ProgressEngine& ProgressEngine::for_comm(mps::Communicator& comm) {
-  // The engine lives in the communicator's extension slot, so its lifetime
-  // tracks the communicator's exactly — no global registry that a reused
-  // heap address could resurrect stale state from.
-  std::shared_ptr<void>& slot = comm.extension_slot();
-  if (!slot) slot = std::shared_ptr<ProgressEngine>(new ProgressEngine(comm));
-  return *static_cast<ProgressEngine*>(slot.get());
+  std::unique_ptr<ProgressEngine>& engine = CommState::of(comm).engine;
+  if (!engine) engine.reset(new ProgressEngine(comm));
+  return *engine;
 }
 
 Request ProgressEngine::submit(OpSpec&& spec) {
@@ -249,7 +247,9 @@ void ProgressEngine::start_solo(Op* op) {
   OpSpec& spec = op->spec;
   op->tag = comm_->allocate_collective_tag();
   ++stats_.tags_used;
-  const PlanCache::Lookup lookup = PlanCache::global().get_or_lower(spec.key);
+  const PlanCache::Lookup lookup =
+      spec.plan != nullptr ? PlanCache::Lookup{spec.plan, spec.plan_hit}
+                           : PlanCache::global().get_or_lower(spec.key);
   auto exec = std::make_unique<Exec>();
   exec->members = {op};
   exec->plan = lookup.plan;

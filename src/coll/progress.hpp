@@ -70,6 +70,11 @@ struct OpSpec {
   std::int64_t block_bytes = 0;
   /// Resolved plan key of the (primary-stage) execution.
   PlanKey key;
+  /// The plan of `key` when the facade already holds it (from the
+  /// communicator's call memo), and whether fetching it was a cache hit;
+  /// null: a solo start fetches it from the PlanCache.
+  std::shared_ptr<const Plan> plan;
+  bool plan_hit = false;
   /// Modeled measures behind `key` — the fusion decision's per-member input.
   model::CostMetrics predicted;
   /// Machine profile the recipe was tuned under.
@@ -114,8 +119,8 @@ struct ProgressStats {
 /// Per-communicator scheduler of nonblocking collectives (see the file
 /// comment).  Obtain via for_comm(); all calls must come from the
 /// communicator's own rank thread.  The engine lives in the communicator's
-/// extension slot and is destroyed with it; every request must be completed
-/// before its communicator is destroyed.
+/// CommState (coll/call_memo.hpp) and is destroyed with it; every request
+/// must be completed before its communicator is destroyed.
 class ProgressEngine {
  public:
   /// The engine of `comm`, created on first use (same single-thread

@@ -220,6 +220,18 @@ HookState& hook_state() {
 
 std::atomic<bool> g_adaptive_installed{false};
 std::atomic<bool> g_observation_installed{false};
+/// Whether an active flat or two-level model is published: while neither
+/// is, effective_machine / effective_two_level return without hook_mu.
+std::atomic<bool> g_models_published{false};
+std::atomic<std::uint64_t> g_tuning_epoch{0};
+
+/// Called with hook_mu held, after an active-model write.
+void publish_models() {
+  g_models_published.store(
+      hook_state().active.has_value() ||
+          hook_state().active_two_level.has_value(),
+      std::memory_order_release);
+}
 
 bool same_constants(const LinearModel& a, const LinearModel& b) {
   return model_bits(a.beta_us) == model_bits(b.beta_us) &&
@@ -727,6 +739,7 @@ void clear_tuner_cache() {
     reload = hook_state().reload;
   }
   if (reload) reload();
+  bump_tuning_epoch();
 }
 
 const char* to_string(TunedFamily family) {
@@ -776,6 +789,7 @@ void set_tuner_override(const TunerQuery& query, const TunerConfig& config) {
   std::lock_guard<std::mutex> lock(override_mu());
   override_map()[query] = config;
   g_override_count.store(override_map().size(), std::memory_order_relaxed);
+  bump_tuning_epoch();
 }
 
 std::optional<TunerConfig> tuner_override(const TunerQuery& query) {
@@ -801,6 +815,7 @@ void clear_tuner_overrides() {
   std::lock_guard<std::mutex> lock(override_mu());
   override_map().clear();
   g_override_count.store(0, std::memory_order_relaxed);
+  bump_tuning_epoch();
 }
 
 void set_adaptive_hook(AdaptiveHook hook) {
@@ -854,8 +869,12 @@ void set_tuner_reload_hook(std::function<void()> hook) {
 }
 
 void set_active_machine(const std::optional<LinearModel>& machine) {
-  std::lock_guard<std::mutex> lock(hook_mu());
-  hook_state().active = machine;
+  {
+    std::lock_guard<std::mutex> lock(hook_mu());
+    hook_state().active = machine;
+    publish_models();
+  }
+  bump_tuning_epoch();
 }
 
 std::optional<LinearModel> active_machine() {
@@ -864,14 +883,21 @@ std::optional<LinearModel> active_machine() {
 }
 
 LinearModel effective_machine(const LinearModel& requested) {
-  if (!same_constants(requested, ibm_sp1())) return requested;
+  if (!g_models_published.load(std::memory_order_acquire) ||
+      !same_constants(requested, ibm_sp1())) {
+    return requested;
+  }
   std::lock_guard<std::mutex> lock(hook_mu());
   return hook_state().active ? *hook_state().active : requested;
 }
 
 void set_active_two_level(const std::optional<TwoLevelModel>& machine) {
-  std::lock_guard<std::mutex> lock(hook_mu());
-  hook_state().active_two_level = machine;
+  {
+    std::lock_guard<std::mutex> lock(hook_mu());
+    hook_state().active_two_level = machine;
+    publish_models();
+  }
+  bump_tuning_epoch();
 }
 
 std::optional<TwoLevelModel> active_two_level() {
@@ -880,6 +906,7 @@ std::optional<TwoLevelModel> active_two_level() {
 }
 
 TwoLevelModel effective_two_level(const TwoLevelModel& requested) {
+  if (!g_models_published.load(std::memory_order_acquire)) return requested;
   const TwoLevelModel sentinel = uniform_two_level(ibm_sp1());
   if (!same_constants(requested.intra, sentinel.intra) ||
       !same_constants(requested.inter, sentinel.inter)) {
@@ -891,6 +918,14 @@ TwoLevelModel effective_two_level(const TwoLevelModel& requested) {
   // (the same default shape uniform_two_level gives the compiled-in model).
   if (hook_state().active) return uniform_two_level(*hook_state().active);
   return requested;
+}
+
+std::uint64_t tuning_epoch() {
+  return g_tuning_epoch.load(std::memory_order_acquire);
+}
+
+void bump_tuning_epoch() {
+  g_tuning_epoch.fetch_add(1, std::memory_order_release);
 }
 
 double pipelined_round_us(const LinearModel& machine,

@@ -468,4 +468,19 @@ void set_active_two_level(const std::optional<TwoLevelModel>& machine);
 [[nodiscard]] std::optional<TwoLevelModel> active_two_level();
 [[nodiscard]] TwoLevelModel effective_two_level(const TwoLevelModel& requested);
 
+// ---------------------------------------------------------------------------
+// Tuning epoch.  Every writer of the process-global tuning state above
+// (set_active_machine, set_active_two_level, set_tuner_override,
+// clear_tuner_overrides, clear_tuner_cache) and coll::PlanCache::clear
+// bumps this counter *after* its write.  A caller that memoizes a resolved
+// decision reads the epoch before resolving and keeps the decision only
+// while the epoch is unchanged: a resolution that raced a write is stored
+// under the older epoch and misses on its next use.
+
+/// The current epoch (acquire: a caller that reads epoch E also sees every
+/// state write that preceded the bump to E).
+[[nodiscard]] std::uint64_t tuning_epoch();
+/// Invalidate every memoized resolution (release).
+void bump_tuning_epoch();
+
 }  // namespace bruck::model

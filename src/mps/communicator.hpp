@@ -270,8 +270,8 @@ class Communicator {
     (void)event;
   }
 
-  /// Opaque per-communicator extension slot.  The coll:: progress engine
-  /// parks its per-communicator scheduler here so that state's lifetime
+  /// Opaque per-communicator extension slot.  The coll:: layer parks its
+  /// per-communicator state (call memo, progress engine) here so its lifetime
   /// tracks the communicator's exactly (a process-global registry keyed by
   /// address would outlive the communicator and could be resurrected by
   /// heap address reuse).  Same single-thread contract as the rest of the
