@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string_view>
 #include <vector>
@@ -731,26 +732,35 @@ int run_allreduce(mps::Communicator& comm, std::span<const std::byte> send,
   const std::int64_t n = comm.size();
   const std::int64_t b = allreduce_block(n, bytes, op);
   const auto head = static_cast<std::size_t>(bytes);
-  std::vector<std::byte> padded(static_cast<std::size_t>(n * b),
-                                std::byte{0});
+  const auto whole = static_cast<std::size_t>(n * b);
+  // Staging is never value-initialized: `padded` is fully written (the
+  // user's bytes, then a zeroed pad tail), and the stages write every byte
+  // of `reduced` and `gathered` before they are read.
+  const auto padded = std::make_unique_for_overwrite<std::byte[]>(whole);
   if (layouts.send != nullptr) {
     layout_gather(send, *layouts.send, 0, 0, bytes,
-                  std::span<std::byte>(padded).first(head));
+                  std::span<std::byte>(padded.get(), head));
   } else if (bytes > 0) {
-    std::memcpy(padded.data(), send.data(), head);
+    std::memcpy(padded.get(), send.data(), head);
   }
-  std::vector<std::byte> reduced(static_cast<std::size_t>(b));
-  const int after_reduce =
-      reduce_scatter(comm, padded, reduced, b, op, reduce_stage(options));
+  std::memset(padded.get() + head, 0, whole - head);
+  const auto reduced =
+      std::make_unique_for_overwrite<std::byte[]>(static_cast<std::size_t>(b));
+  const int after_reduce = reduce_scatter(
+      comm, std::span<const std::byte>(padded.get(), whole),
+      std::span<std::byte>(reduced.get(), static_cast<std::size_t>(b)), b, op,
+      reduce_stage(options));
 
-  std::vector<std::byte> gathered(static_cast<std::size_t>(n * b));
-  const int next = allgather(comm, reduced, gathered, b,
-                             concat_stage(options, after_reduce));
+  const auto gathered = std::make_unique_for_overwrite<std::byte[]>(whole);
+  const int next = allgather(
+      comm, std::span<const std::byte>(reduced.get(), static_cast<std::size_t>(b)),
+      std::span<std::byte>(gathered.get(), whole), b,
+      concat_stage(options, after_reduce));
   if (layouts.recv != nullptr) {
     layout_scatter(recv, *layouts.recv, 0, 0, bytes,
-                   std::span<const std::byte>(gathered).first(head));
+                   std::span<const std::byte>(gathered.get(), head));
   } else if (bytes > 0) {
-    std::memcpy(recv.data(), gathered.data(), head);
+    std::memcpy(recv.data(), gathered.get(), head);
   }
   return next;
 }

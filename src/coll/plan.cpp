@@ -6,7 +6,6 @@
 #include <sstream>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "coll/blocks.hpp"
@@ -882,15 +881,13 @@ PlanExecution Plan::run_pipelined_impl(mps::Communicator& comm,
   // back, repeat.
   PlanCursor cursor(shared_from_this(), comm, send, recv, ex, start_round,
                     /*tag=*/0);
-  std::unordered_set<mps::PortHandle> mine;
   while (!cursor.done()) {
-    for (const mps::PortHandle h : cursor.post_ready()) mine.insert(h);
+    (void)cursor.post_ready();
     if (cursor.done()) break;
     BRUCK_ENSURE_MSG(cursor.outstanding() > 0,
                      "pipelined cursor stalled with nothing in flight");
-    const mps::PortHandle h = comm.wait_any_recv();
-    BRUCK_ENSURE_MSG(mine.erase(h) == 1, "engine reported a foreign handle");
-    cursor.on_complete(h);
+    // on_complete rejects a handle the cursor did not post.
+    cursor.on_complete(comm.wait_any_recv());
   }
   // Native engines are fully drained here; the deferred fallback may still
   // hold posted sends of receive-less rounds — flush them.
@@ -1074,7 +1071,7 @@ void PlanCursor::on_complete(mps::PortHandle h) {
   posted_.erase(it);
   if (rec.take_buffer) {
     const ExecBuffers buffers{send_, recv_, scratch_};
-    const std::vector<std::byte> payload = comm_->take_payload(h);
+    const std::span<const std::byte> payload = comm_->take_payload(h);
     plan_->scatter_message(*rec.message,
                            buffers.writable(rec.message->buffer),
                            payload.data(), ex_);

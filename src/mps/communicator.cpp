@@ -61,13 +61,13 @@ class DeferredEngine {
     return h;
   }
 
-  std::vector<std::byte> take_payload(PortHandle h) {
+  std::span<const std::byte> take_payload(PortHandle h) {
     const auto it = completed_.find(h);
     BRUCK_REQUIRE_MSG(it != completed_.end() && it->second.take_buffer,
                       "take_payload needs a completed buffer-mode receive");
-    std::vector<std::byte> out = std::move(it->second.owned);
+    lent_ = std::move(it->second.owned);
     completed_.erase(it);
-    return out;
+    return lent_;
   }
 
   bool test_recv(PortHandle h) {
@@ -222,6 +222,7 @@ class DeferredEngine {
   std::deque<Round> rounds_;  // posted, unflushed; ascending round order
   std::unordered_map<PortHandle, DeferredRecv> completed_;
   std::deque<PortHandle> unreported_;  // completed, not yet handed out
+  std::vector<std::byte> lent_;  // the last take_payload() result
   PortHandle next_handle_ = 1;
   bool in_flush_ = false;
 };
@@ -283,7 +284,7 @@ PortHandle Communicator::post_recv_buffer(int round, std::int64_t src,
   return deferred().post_recv_buffer(round, src, bytes);
 }
 
-std::vector<std::byte> Communicator::take_payload(PortHandle h) {
+std::span<const std::byte> Communicator::take_payload(PortHandle h) {
   return deferred().take_payload(h);
 }
 

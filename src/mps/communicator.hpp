@@ -164,9 +164,11 @@ class Communicator {
                                       std::int64_t bytes, int segments = 1,
                                       int tag = 0);
 
-  /// The completed payload of a post_recv_buffer receive (moved out; the
-  /// handle is retired).  Precondition: `h` is complete and buffer-mode.
-  virtual std::vector<std::byte> take_payload(PortHandle h);
+  /// The completed payload of a post_recv_buffer receive (the handle is
+  /// retired).  The view stays valid until the next take_payload() on this
+  /// communicator, which lets the engine reuse its receive storage.
+  /// Precondition: `h` is complete and buffer-mode.
+  virtual std::span<const std::byte> take_payload(PortHandle h);
 
   /// Try to complete `h` without blocking; true once it is complete.
   /// Caveat: the deferred fallback engine (subclasses overriding only

@@ -1,5 +1,6 @@
-// The wait primitive of the thread fabric's inboxes: spin → yield → futex
-// park on a single 32-bit word.
+// The wait primitive of the fabrics (the thread fabric's inboxes, the shm
+// fabric's rings and barrier): spin → yield → futex park on a single
+// 32-bit word.
 //
 // A waiter that finds nothing to do first spins on `pause` (a peer is most
 // likely mid-send: the common case resolves in well under a microsecond),

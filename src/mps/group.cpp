@@ -73,7 +73,7 @@ PortHandle GroupComm::post_recv_buffer(int round, std::int64_t src,
   return parent_->post_recv_buffer(round, member(src), bytes, segments, tag);
 }
 
-std::vector<std::byte> GroupComm::take_payload(PortHandle h) {
+std::span<const std::byte> GroupComm::take_payload(PortHandle h) {
   return parent_->take_payload(h);
 }
 

@@ -54,7 +54,7 @@ class GroupComm final : public Communicator {
                        int segments = 1, int tag = 0) override;
   PortHandle post_recv_buffer(int round, std::int64_t src, std::int64_t bytes,
                               int segments = 1, int tag = 0) override;
-  std::vector<std::byte> take_payload(PortHandle h) override;
+  std::span<const std::byte> take_payload(PortHandle h) override;
   bool test_recv(PortHandle h) override;
   void wait_recv(PortHandle h) override;
   PortHandle wait_any_recv() override;

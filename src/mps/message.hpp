@@ -9,6 +9,17 @@
 
 namespace bruck::mps {
 
+/// Per-segment wire metadata without the payload: what a fabric that copies
+/// bytes (the shm ring) carries beside each record, and what it hands the
+/// port engine with a record it consumes in place.  The destination is
+/// implicit (the channel's owner).
+struct WireFrame {
+  std::int64_t src = 0;
+  std::int64_t seq = 0;
+  std::int32_t tag = 0;
+  std::int32_t round = 0;
+};
+
 struct Message {
   std::int64_t src = 0;
   std::int64_t dst = 0;

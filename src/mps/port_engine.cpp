@@ -20,8 +20,16 @@ int effective_wire_segments(std::int64_t total, int segments) {
       std::clamp<std::int64_t>(segments, 1, std::max<std::int64_t>(1, total)));
 }
 
-WirePortEngine::WirePortEngine(std::int64_t peers)
-    : send_seq0_(static_cast<std::size_t>(peers), 0),
+namespace {
+
+/// Pooled buffers kept for reuse; past this, recycled buffers are freed.
+constexpr std::size_t kMaxSpareBuffers = 64;
+
+}  // namespace
+
+WirePortEngine::WirePortEngine(std::int64_t peers, WirePush push)
+    : push_(push),
+      send_seq0_(static_cast<std::size_t>(peers), 0),
       recv_seq0_(static_cast<std::size_t>(peers), 0) {
   BRUCK_REQUIRE(peers >= 1);
 }
@@ -68,6 +76,19 @@ void WirePortEngine::check_post(int round, std::int64_t peer,
   }
 }
 
+void WirePortEngine::wire_push(Message&& m) {
+  (void)m;
+  BRUCK_ENSURE_MSG(false, "this fabric takes its wire segments as views");
+}
+
+void WirePortEngine::wire_push_bytes(std::int64_t dst, const WireFrame& frame,
+                                     std::span<const std::byte> bytes) {
+  (void)dst;
+  (void)frame;
+  (void)bytes;
+  BRUCK_ENSURE_MSG(false, "this fabric takes its wire segments as buffers");
+}
+
 void WirePortEngine::wire_send(int round, std::int64_t dst,
                                std::vector<std::byte>&& payload, int segments,
                                int tag) {
@@ -109,10 +130,35 @@ void WirePortEngine::wire_send(int round, std::int64_t dst,
   }
 }
 
+void WirePortEngine::wire_send_bytes(int round, std::int64_t dst,
+                                     std::span<const std::byte> payload,
+                                     int segments, int tag) {
+  const std::int64_t total = static_cast<std::int64_t>(payload.size());
+  record_send_event(round, dst, total, tag);
+  const int s = effective_wire_segments(total, segments);
+  auto& seq = send_seq(tag, dst);
+  WireFrame frame;
+  frame.src = rank();
+  frame.tag = tag;
+  frame.round = round;
+  std::size_t offset = 0;
+  for (int i = 0; i < s; ++i) {
+    const auto len =
+        static_cast<std::size_t>(wire_segment_length(total, s, i));
+    frame.seq = seq++;
+    wire_push_bytes(dst, frame, payload.subspan(offset, len));
+    offset += len;
+  }
+}
+
 void WirePortEngine::post_send(int round, std::int64_t dst,
                                std::span<const std::byte> data, int segments,
                                int tag) {
   check_post(round, dst, static_cast<std::int64_t>(data.size()), true, tag);
+  if (push_ == WirePush::kCopy) {
+    wire_send_bytes(round, dst, data, segments, tag);
+    return;
+  }
   wire_send(round, dst, std::vector<std::byte>(data.begin(), data.end()),
             segments, tag);
 }
@@ -121,6 +167,10 @@ void WirePortEngine::post_send(int round, std::int64_t dst,
                                std::vector<std::byte>&& data, int segments,
                                int tag) {
   check_post(round, dst, static_cast<std::int64_t>(data.size()), true, tag);
+  if (push_ == WirePush::kCopy) {
+    wire_send_bytes(round, dst, data, segments, tag);
+    return;
+  }
   wire_send(round, dst, std::move(data), segments, tag);
 }
 
@@ -164,38 +214,63 @@ PortHandle WirePortEngine::post_recv_buffer(int round, std::int64_t src,
   op.take_buffer = true;
   op.total = bytes;
   op.segments = segments;
-  if (segments > 1) {
-    // Multi-segment: pre-size the buffer, segments land by memcpy.  The
-    // single-segment case steals the wire payload instead (deliver).
-    op.owned.resize(static_cast<std::size_t>(bytes));
-  }
+  // Storage is attached by the first delivered segment (deliver).
   return add_recv_op(std::move(op));
 }
 
-void WirePortEngine::deliver(std::list<RecvOp>::iterator it, Message&& m) {
+std::vector<std::byte> WirePortEngine::take_spare() {
+  if (spare_.empty()) return {};
+  std::vector<std::byte> buffer = std::move(spare_.back());
+  spare_.pop_back();
+  return buffer;
+}
+
+void WirePortEngine::recycle(std::vector<std::byte>&& buffer) {
+  if (buffer.capacity() == 0 || spare_.size() >= kMaxSpareBuffers) return;
+  buffer.clear();
+  spare_.push_back(std::move(buffer));
+}
+
+std::list<WirePortEngine::RecvOp>::iterator WirePortEngine::find_op(
+    std::int64_t src, int tag) {
+  return std::find_if(
+      recv_ops_.begin(), recv_ops_.end(),
+      [&](const RecvOp& op) { return op.src == src && op.tag == tag; });
+}
+
+void WirePortEngine::deliver(std::list<RecvOp>::iterator it, std::int64_t src,
+                             std::int64_t seq, std::span<const std::byte> bytes,
+                             std::vector<std::byte>* whole, bool whole_pooled) {
   RecvOp& op = *it;
-  const std::int64_t expected_seq = recv_seq(op.tag, m.src)++;
+  const std::int64_t expected_seq = recv_seq(op.tag, src)++;
   const std::int64_t expected_len =
       wire_segment_length(op.total, op.segments, op.seg_done);
-  const std::span<const std::byte> bytes = m.view();
-  if (m.seq != expected_seq ||
+  if (seq != expected_seq ||
       static_cast<std::int64_t>(bytes.size()) != expected_len) {
     std::ostringstream os;
     os << "rank " << rank() << " round " << op.round << " tag " << op.tag
-       << ": message from rank " << m.src << " has seq " << m.seq
+       << ": message from rank " << src << " has seq " << seq
        << " (expected " << expected_seq << ") and " << bytes.size()
        << " bytes (expected " << expected_len << ")";
     throw ContractViolation(os.str());
   }
-  if (op.take_buffer && op.segments == 1 && !m.shared) {
+  if (!op.take_buffer) {
+    std::memcpy(op.landing.data() + op.offset, bytes.data(), bytes.size());
+  } else if (op.segments == 1 && whole != nullptr) {
     // Whole unsegmented message into an engine-owned buffer: steal the wire
     // payload — the buffer has now moved sender-pack → wire → receiver
     // without a single copy.
-    op.owned = std::move(m.payload);
-  } else if (expected_len > 0) {
-    std::byte* base = op.take_buffer ? op.owned.data() : op.landing.data();
-    std::memcpy(base + op.offset, bytes.data(),
-                static_cast<std::size_t>(expected_len));
+    op.owned = std::move(*whole);
+    op.pooled = whole_pooled;
+  } else {
+    if (op.seg_done == 0) {
+      // A pooled buffer, grown only when this receive is its largest use
+      // yet; segments append, so it is never zero-filled.
+      op.owned = take_spare();
+      op.owned.reserve(static_cast<std::size_t>(op.total));
+      op.pooled = true;
+    }
+    op.owned.insert(op.owned.end(), bytes.begin(), bytes.end());
   }
   op.offset += expected_len;
   if (++op.seg_done == op.segments) {
@@ -211,53 +286,75 @@ void WirePortEngine::deliver(std::list<RecvOp>::iterator it, Message&& m) {
   }
 }
 
-void WirePortEngine::apply_message(Message&& m) {
-  const auto it = std::find_if(
-      recv_ops_.begin(), recv_ops_.end(),
-      [&](const RecvOp& op) { return op.src == m.src && op.tag == m.tag; });
+void WirePortEngine::stash(Early&& e) {
+  // The wire pull can surface a message for another tag whose receive is
+  // not posted yet (concurrent collectives progress independently per
+  // rank), or — on fabrics that drain their inbound channel eagerly — a
+  // message from a source with no pending receive at all.  Stash it in
+  // per-channel FIFO order; add_recv_op delivers it when its receive
+  // appears.  A genuinely unmatched message therefore surfaces as a
+  // drain-deadline timeout reporting the stash, not an immediate throw.
+  ++stashed_count_;
+  stash_[tag_peer_key(e.m.tag, e.m.src)].items.push_back(std::move(e));
+}
+
+void WirePortEngine::accept(Message&& m) {
+  const auto it = find_op(m.src, m.tag);
   if (it == recv_ops_.end()) {
-    // The wire pop can surface a message for another tag whose receive is
-    // not posted yet (concurrent collectives progress independently per
-    // rank), or — on fabrics that drain their inbound channel eagerly — a
-    // message from a source with no pending receive at all.  Stash it in
-    // per-channel FIFO order; add_recv_op delivers it when its receive
-    // appears.  A genuinely unmatched message therefore surfaces as a
-    // drain-deadline timeout reporting the stash, not an immediate throw.
-    ++stashed_count_;
-    stash_[tag_peer_key(m.tag, m.src)].push_back(std::move(m));
+    stash(Early{std::move(m), false});
     return;
   }
-  deliver(it, std::move(m));
+  deliver(it, m.src, m.seq, m.view(), m.shared ? nullptr : &m.payload,
+          /*whole_pooled=*/false);
+}
+
+void WirePortEngine::accept(const WireFrame& frame,
+                            std::span<const std::byte> bytes) {
+  const auto it = find_op(frame.src, frame.tag);
+  if (it != recv_ops_.end()) {
+    deliver(it, frame.src, frame.seq, bytes, nullptr, false);
+    return;
+  }
+  // Early arrival: the one case that copies the bytes out of the fabric's
+  // slot, into a pooled buffer.
+  Early e;
+  e.m.src = frame.src;
+  e.m.dst = rank();
+  e.m.seq = frame.seq;
+  e.m.tag = frame.tag;
+  e.m.round = frame.round;
+  e.m.payload = take_spare();
+  e.m.payload.assign(bytes.begin(), bytes.end());
+  e.pooled = true;
+  stash(std::move(e));
 }
 
 void WirePortEngine::drain_stash(int tag, std::int64_t src) {
   const auto sit = stash_.find(tag_peer_key(tag, src));
   if (sit == stash_.end()) return;
-  std::deque<Message>& q = sit->second;
+  EarlyQueue& q = sit->second;
   while (!q.empty()) {
-    const auto it = std::find_if(
-        recv_ops_.begin(), recv_ops_.end(),
-        [&](const RecvOp& op) { return op.src == src && op.tag == tag; });
+    const auto it = find_op(src, tag);
     if (it == recv_ops_.end()) break;
-    Message m = std::move(q.front());
-    q.pop_front();
+    Early& e = q.items[q.head++];
     --stashed_count_;
-    deliver(it, std::move(m));
+    deliver(it, e.m.src, e.m.seq, e.m.view(),
+            e.m.shared ? nullptr : &e.m.payload, e.pooled);
+    if (e.pooled) recycle(std::move(e.m.payload));
+    e.m = Message{};
   }
-  if (q.empty()) stash_.erase(sit);
+  if (q.empty()) {
+    q.items.clear();
+    q.head = 0;
+  }
 }
 
 bool WirePortEngine::try_progress() {
-  std::optional<Message> m =
-      wire_pop(waiting_srcs_, std::chrono::milliseconds{0});
-  if (!m.has_value()) return false;
-  apply_message(std::move(*m));
-  return true;
+  return wire_pull(waiting_srcs_, std::chrono::milliseconds{0});
 }
 
 void WirePortEngine::progress_blocking(const DrainDeadline& deadline) {
-  std::optional<Message> m = wire_pop(waiting_srcs_, deadline.remaining());
-  if (!m.has_value()) {
+  if (!wire_pull(waiting_srcs_, deadline.remaining())) {
     std::ostringstream os;
     os << "rank " << rank() << ": port-engine receive timed out after "
        << deadline.budget().count()
@@ -271,7 +368,6 @@ void WirePortEngine::progress_blocking(const DrainDeadline& deadline) {
     os << " (deadlock or mismatched exchange?)";
     throw ContractViolation(os.str());
   }
-  apply_message(std::move(*m));
 }
 
 void WirePortEngine::retire_if_landing(PortHandle h) {
@@ -279,13 +375,17 @@ void WirePortEngine::retire_if_landing(PortHandle h) {
   if (it != completed_.end() && !it->second.take_buffer) completed_.erase(it);
 }
 
-std::vector<std::byte> WirePortEngine::take_payload(PortHandle h) {
+std::span<const std::byte> WirePortEngine::take_payload(PortHandle h) {
   const auto it = completed_.find(h);
   BRUCK_REQUIRE_MSG(it != completed_.end() && it->second.take_buffer,
                     "take_payload needs a completed buffer-mode receive");
-  std::vector<std::byte> out = std::move(it->second.owned);
+  // The previous payload's view has expired: its buffer goes back to the
+  // pool (stolen wire payloads are not pooled — they are freed).
+  if (lent_pooled_) recycle(std::move(lent_));
+  lent_ = std::move(it->second.owned);
+  lent_pooled_ = it->second.pooled;
   completed_.erase(it);
-  return out;
+  return lent_;
 }
 
 bool WirePortEngine::test_recv(PortHandle h) {
@@ -360,6 +460,7 @@ void WirePortEngine::release_tag(int tag) {
         "release_tag with stashed wire messages still undelivered under "
         "the tag");
   }
+  std::erase_if(stash_, [&](const auto& kv) { return in_tag(kv.first); });
   tag_rounds_.erase(tag);
   std::erase_if(send_seq_tagged_,
                 [&](const auto& kv) { return in_tag(kv.first); });

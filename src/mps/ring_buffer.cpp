@@ -41,7 +41,6 @@ MpscByteRing MpscByteRing::create(void* region, std::size_t capacity) {
   ring.ctl_->capacity = capacity;
   ring.ctl_->tail.store(0, std::memory_order_relaxed);
   ring.ctl_->head.store(0, std::memory_order_relaxed);
-  ring.ctl_->pending_payload.store(0, std::memory_order_relaxed);
   ring.data_ = static_cast<std::byte*>(region) + sizeof(Control);
   ring.capacity_ = capacity;
   // The magic is published last: attach-side open() spins on it when racing
@@ -68,7 +67,7 @@ std::size_t MpscByteRing::max_payload_bytes() const {
   return capacity_ / 2 - sizeof(RecordHeader);
 }
 
-bool MpscByteRing::try_push(const RingFrame& frame,
+bool MpscByteRing::try_push(const WireFrame& frame,
                             std::span<const std::byte> payload) {
   const std::size_t total =
       align_up(sizeof(RecordHeader) + payload.size());
@@ -81,7 +80,9 @@ bool MpscByteRing::try_push(const RingFrame& frame,
     const std::uint64_t pos = t & (capacity_ - 1);
     const std::uint64_t to_end = capacity_ - pos;
     pad = to_end < total ? to_end : 0;
-    const std::uint64_t head = ctl_->head.load(std::memory_order_acquire);
+    // seq_cst: pairs with release()'s head store for a producer parked on
+    // a Doorbell until space frees up.
+    const std::uint64_t head = ctl_->head.load(std::memory_order_seq_cst);
     if (t + pad + total - head > capacity_) return false;  // full
     if (ctl_->tail.compare_exchange_weak(t, t + pad + total,
                                          std::memory_order_relaxed,
@@ -109,50 +110,52 @@ bool MpscByteRing::try_push(const RingFrame& frame,
     std::memcpy(data_ + slot + sizeof(RecordHeader), payload.data(),
                 payload.size());
   }
-  ctl_->pending_payload.fetch_add(payload.size(), std::memory_order_relaxed);
+  // seq_cst: a consumer parked on a Doorbell tests readable() after
+  // announcing itself, and the pusher rings after this store.
   h->commit.store(static_cast<std::uint32_t>(total),
-                  std::memory_order_release);
+                  std::memory_order_seq_cst);
   return true;
 }
 
-bool MpscByteRing::try_pop(Message& out) {
+bool MpscByteRing::readable() const {
+  return head_record()->commit.load(std::memory_order_seq_cst) != 0;
+}
+
+void MpscByteRing::free_head(std::uint64_t total) {
+  const std::uint64_t head = ctl_->head.load(std::memory_order_relaxed);
+  // Zero before freeing: the next lap's producers must find zero commit
+  // words anywhere in the region they reserve.
+  std::memset(data_ + (head & (capacity_ - 1)), 0,
+              static_cast<std::size_t>(total));
+  ctl_->head.store(head + total, std::memory_order_seq_cst);
+}
+
+bool MpscByteRing::peek(WireFrame& frame, std::span<const std::byte>& payload) {
   for (;;) {
-    const std::uint64_t head = ctl_->head.load(std::memory_order_relaxed);
-    if (head == ctl_->tail.load(std::memory_order_acquire)) return false;
-    const std::uint64_t slot = head & (capacity_ - 1);
-    RecordHeader* h = header_at(slot);
+    const RecordHeader* h = head_record();
     const std::uint32_t commit = h->commit.load(std::memory_order_acquire);
-    if (commit == 0) return false;  // oldest record still being written
-    const std::uint64_t total = commit & ~kPadFlag;
+    if (commit == 0) return false;  // empty, or oldest record mid-write
     if ((commit & kPadFlag) != 0) {
-      // Tail-gap pad: zero it and advance to the next lap.
-      std::memset(data_ + slot, 0, static_cast<std::size_t>(total));
-      ctl_->head.store(head + total, std::memory_order_release);
+      free_head(commit & ~kPadFlag);  // tail-gap pad: next lap
       continue;
     }
-    out.src = h->src;
-    out.seq = h->seq;
-    out.tag = h->tag;
-    out.round = h->round;
-    out.shared.reset();
-    out.shared_offset = 0;
-    out.shared_length = 0;
-    out.payload.assign(
-        data_ + slot + sizeof(RecordHeader),
-        data_ + slot + sizeof(RecordHeader) + h->payload_bytes);
-    ctl_->pending_payload.fetch_sub(h->payload_bytes,
-                                    std::memory_order_relaxed);
-    // Zero before freeing: the next lap's producers must find zero commit
-    // words anywhere in the region they reserve.
-    std::memset(data_ + slot, 0, static_cast<std::size_t>(total));
-    ctl_->head.store(head + total, std::memory_order_release);
+    frame.src = h->src;
+    frame.seq = h->seq;
+    frame.tag = h->tag;
+    frame.round = h->round;
+    payload = std::span<const std::byte>(
+        reinterpret_cast<const std::byte*>(h) + sizeof(RecordHeader),
+        h->payload_bytes);
     return true;
   }
 }
 
-std::size_t MpscByteRing::pending_bytes() const {
-  return static_cast<std::size_t>(
-      ctl_->pending_payload.load(std::memory_order_relaxed));
+void MpscByteRing::release() {
+  const std::uint32_t commit =
+      head_record()->commit.load(std::memory_order_relaxed);
+  BRUCK_REQUIRE_MSG(commit != 0 && (commit & kPadFlag) == 0,
+                    "ring release() without a peeked record");
+  free_head(commit);
 }
 
 }  // namespace bruck::mps

@@ -6,19 +6,30 @@
 // Design: one contiguous power-of-two byte region indexed by two monotonic
 // 64-bit offsets (`tail` = bytes reserved by producers, `head` = bytes
 // consumed).  Producers reserve space with a CAS on `tail`, write their
-// record body, then *publish* it by storing the record's commit word
-// (release); the consumer walks records strictly in reservation order,
-// waiting on an unpublished commit word even if later records are already
-// published (per-ring FIFO is part of the wire contract — sequence numbers
-// downstream assert it).  Records never wrap: a producer whose record would
-// straddle the end of the region publishes a PAD record covering the tail
-// gap and starts at offset 0 of the next lap.
+// record body straight from the caller's bytes, then *publish* it by
+// storing the record's commit word (seq_cst); the consumer walks records
+// strictly in reservation order, waiting on an unpublished commit word even
+// if later records are already published (per-ring FIFO is part of the
+// wire contract — sequence numbers downstream assert it).  Records never
+// wrap: a producer whose record would straddle the end of the region
+// publishes a PAD record covering the tail gap and starts at offset 0 of
+// the next lap.
 //
-// Memory reclamation: the consumer zeroes a record's region before
-// advancing `head` (release).  A producer's space check acquires `head`, so
-// any region it may write into is (a) free and (b) all-zero — which is what
-// lets the consumer distinguish "reserved but not yet published" (commit
-// word still 0) from garbage left by a previous lap.
+// Consumption is in place: peek() hands out the oldest record's frame and a
+// view of its payload inside the slot, and release() frees it.  Between
+// the two the slot stays reserved — producers can never lap into it,
+// because `head` has not moved — so the consumer copies the bytes straight
+// to their destination with no intermediate buffer.  No view may outlive
+// its release().
+//
+// Memory reclamation: release() zeroes a record's region before advancing
+// `head`.  A producer's space check reads `head`, so any region it may
+// write into is (a) free and (b) all-zero — which is what lets the
+// consumer distinguish "reserved but not yet published" (commit word still
+// 0) from garbage left by a previous lap.  (A commit word that also
+// encoded the lap would not be enough on its own: with variable-size
+// records a later lap's header can land on stale payload bytes of an
+// earlier lap, which may hold any value.)
 //
 // The ring is *address-free*: all state is plain data + lock-free
 // std::atomic offsets inside the region itself, so the same region mapped
@@ -26,10 +37,12 @@
 // single consumer must be the region's owning rank; producers may be any
 // number of threads or processes.
 //
-// Blocking is the caller's job: try_push/try_pop never wait.  A full ring
+// Blocking is the caller's job: try_push/peek never wait.  A full ring
 // returns false from try_push (fabric backpressure — the shm communicator
 // retries under its drain deadline); an empty or mid-publish ring returns
-// false from try_pop.
+// false from peek.  The publish store, the head store and both sides'
+// reads of them are seq_cst, so a waiter can park on a Doorbell
+// (doorbell.hpp) with readable() or a try_push() as its predicate.
 #pragma once
 
 #include <atomic>
@@ -40,15 +53,6 @@
 #include "mps/message.hpp"
 
 namespace bruck::mps {
-
-/// Wire-frame metadata carried alongside a ring record's payload (the
-/// destination is implicit: the ring's owning rank).
-struct RingFrame {
-  std::int64_t src = 0;
-  std::int64_t seq = 0;
-  std::int32_t tag = 0;
-  std::int32_t round = 0;
-};
 
 class MpscByteRing {
  public:
@@ -82,16 +86,21 @@ class MpscByteRing {
   /// consumer drains).  Throws ContractViolation if the payload can never
   /// fit (caller should size the ring for the fabric's largest wire
   /// segment).
-  bool try_push(const RingFrame& frame, std::span<const std::byte> payload);
+  bool try_push(const WireFrame& frame, std::span<const std::byte> payload);
 
-  /// Consumer side (owning rank only): pop the oldest record into `out`
-  /// (src/seq/tag/round/payload filled; dst left untouched).  False when
-  /// the ring is empty or the oldest reservation is not yet published.
-  bool try_pop(Message& out);
+  /// Consumer side (owning rank only): the oldest published record, in
+  /// place.  `payload` views the record's slot and stays valid until
+  /// release().  Frees any wrap pads in front of it.  False when the ring
+  /// is empty or the oldest reservation is not yet published.
+  bool peek(WireFrame& frame, std::span<const std::byte>& payload);
 
-  /// Payload bytes currently queued (published and not yet consumed;
-  /// diagnostics).
-  [[nodiscard]] std::size_t pending_bytes() const;
+  /// Consumer side: free the record the last successful peek() returned
+  /// (zero its region, then advance `head`).
+  void release();
+
+  /// Consumer side: true when the oldest slot holds a published record or
+  /// pad (one seq_cst load; a Doorbell predicate).
+  [[nodiscard]] bool readable() const;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
@@ -118,15 +127,20 @@ class MpscByteRing {
     std::uint64_t capacity;
     alignas(64) std::atomic<std::uint64_t> tail;  ///< bytes reserved
     alignas(64) std::atomic<std::uint64_t> head;  ///< bytes consumed
-    alignas(64) std::atomic<std::uint64_t> pending_payload;
   };
   static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
                 "the shm ring needs address-free lock-free 64-bit atomics");
 
-  [[nodiscard]] std::byte* data() { return data_; }
-  [[nodiscard]] RecordHeader* header_at(std::uint64_t slot) {
+  [[nodiscard]] RecordHeader* header_at(std::uint64_t slot) const {
     return reinterpret_cast<RecordHeader*>(data_ + slot);
   }
+  /// The record at `head`, whose commit word the caller has read.
+  [[nodiscard]] RecordHeader* head_record() const {
+    return header_at(ctl_->head.load(std::memory_order_relaxed) &
+                     (capacity_ - 1));
+  }
+  /// Zero `total` bytes at `head` and advance past them.
+  void free_head(std::uint64_t total);
 
   Control* ctl_ = nullptr;
   std::byte* data_ = nullptr;

@@ -12,6 +12,7 @@
 #include <thread>
 #include <utility>
 
+#include "mps/doorbell.hpp"
 #include "util/assert.hpp"
 
 namespace bruck::mps {
@@ -21,33 +22,6 @@ namespace {
 constexpr std::uint64_t kShmMagic = 0x6272'7563'6b73'686dULL;  // "bruckshm"
 
 constexpr std::size_t align64(std::size_t v) { return (v + 63) & ~std::size_t{63}; }
-
-/// Spin → yield → sleep escalation for the fabric's wait loops: the common
-/// case (peer mid-push) resolves in nanoseconds, but a rank genuinely ahead
-/// of its peers must not burn a core for the whole drain deadline.
-class Backoff {
- public:
-  void pause() {
-    ++waits_;
-    if (waits_ < 64) {
-#if defined(__x86_64__)
-      __builtin_ia32_pause();
-#elif defined(__aarch64__)
-      asm volatile("yield");
-#else
-      std::this_thread::yield();
-#endif
-    } else if (waits_ < 256) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    }
-  }
-  void reset() { waits_ = 0; }
-
- private:
-  int waits_ = 0;
-};
 
 }  // namespace
 
@@ -132,21 +106,38 @@ struct ShmComm::Control {
   std::int64_t recv_timeout_ms;
   alignas(64) std::atomic<std::uint64_t> barrier_arrived;
   alignas(64) std::atomic<std::uint64_t> barrier_generation;
+  alignas(64) Doorbell barrier_bell;  ///< rung by the last arriver
   alignas(64) std::atomic<std::uint32_t> abort_flag;
 };
 
-std::size_t ShmComm::control_area_bytes() { return align64(sizeof(Control)); }
+/// One rank's wait state, on its own cache line after the control block.
+struct alignas(64) ShmComm::RankLine {
+  Doorbell bell;  ///< rung by every push into this rank's ring
+  /// Producers waiting for space in this rank's ring (each parked on its
+  /// own doorbell); the consumer rings all doorbells while it is nonzero.
+  std::atomic<std::uint32_t> blocked_producers;
+};
+
+std::size_t ShmComm::control_area_bytes(std::int64_t n) {
+  return align64(sizeof(Control)) +
+         static_cast<std::size_t>(n) * sizeof(RankLine);
+}
+
+ShmComm::RankLine* ShmComm::rank_line(std::byte* region, std::int64_t rank) {
+  return reinterpret_cast<RankLine*>(region + align64(sizeof(Control))) +
+         rank;
+}
 
 std::byte* ShmComm::ring_base(std::byte* region, const Control* c,
                               std::int64_t rank) {
-  return region + control_area_bytes() +
+  return region + control_area_bytes(c->n) +
          static_cast<std::size_t>(rank) * c->ring_stride;
 }
 
 std::size_t ShmComm::region_bytes(const ShmFabricOptions& options) {
   const std::size_t cap = MpscByteRing::round_up_capacity(options.ring_bytes);
   const std::size_t stride = align64(MpscByteRing::region_bytes(cap));
-  return control_area_bytes() +
+  return control_area_bytes(options.n) +
          static_cast<std::size_t>(options.n) * stride;
 }
 
@@ -158,7 +149,7 @@ void ShmComm::init_region(void* region, const ShmFabricOptions& options) {
   const std::size_t cap = MpscByteRing::round_up_capacity(options.ring_bytes);
   const std::size_t stride = align64(MpscByteRing::region_bytes(cap));
   auto* base = static_cast<std::byte*>(region);
-  std::memset(base, 0, control_area_bytes());
+  std::memset(base, 0, control_area_bytes(options.n));
   auto* c = new (base) Control;
   c->n = options.n;
   c->k = options.k;
@@ -170,6 +161,8 @@ void ShmComm::init_region(void* region, const ShmFabricOptions& options) {
   c->barrier_generation.store(0, std::memory_order_relaxed);
   c->abort_flag.store(0, std::memory_order_relaxed);
   for (std::int64_t r = 0; r < options.n; ++r) {
+    new (rank_line(base, r)) RankLine;
+    rank_line(base, r)->blocked_producers.store(0, std::memory_order_relaxed);
     (void)MpscByteRing::create(ring_base(base, c, r), cap);
   }
   // Published last: a named-segment opener spins on the magic before
@@ -179,29 +172,39 @@ void ShmComm::init_region(void* region, const ShmFabricOptions& options) {
 }
 
 void ShmComm::abort_region(void* region) {
+  auto* base = static_cast<std::byte*>(region);
   auto* c = static_cast<Control*>(region);
-  c->abort_flag.store(1, std::memory_order_release);
+  // seq_cst before the rings: every wait's predicate tests the flag.
+  c->abort_flag.store(1, std::memory_order_seq_cst);
+  (void)c->barrier_bell.ring();
+  for (std::int64_t r = 0; r < c->n; ++r) (void)rank_line(base, r)->bell.ring();
 }
 
 ShmComm::Control* ShmComm::control() const {
   return reinterpret_cast<Control*>(region_);
 }
 
+ShmComm::RankLine& ShmComm::line(std::int64_t rank) const {
+  return *rank_line(region_, rank);
+}
+
 ShmComm::ShmComm(void* region, std::int64_t rank)
-    : WirePortEngine([&] {
-        // Wait for the initializer to publish the region (named-segment
-        // openers may attach while init_region is still running).
-        auto* c = static_cast<Control*>(region);
-        const DrainDeadline deadline(std::chrono::milliseconds(10000));
-        Backoff backoff;
-        while (reinterpret_cast<std::atomic<std::uint64_t>*>(&c->magic)->load(
-                   std::memory_order_acquire) != kShmMagic) {
-          BRUCK_REQUIRE_MSG(!deadline.expired(),
-                            "shm fabric region was never initialized");
-          backoff.pause();
-        }
-        return c->n;
-      }()),
+    : WirePortEngine(
+          [&] {
+            // Wait for the initializer to publish the region (named-segment
+            // openers may attach while init_region is still running).
+            // Nothing rings for this, so it polls.
+            auto* c = static_cast<Control*>(region);
+            const DrainDeadline deadline(std::chrono::milliseconds(10000));
+            while (reinterpret_cast<std::atomic<std::uint64_t>*>(&c->magic)
+                       ->load(std::memory_order_acquire) != kShmMagic) {
+              BRUCK_REQUIRE_MSG(!deadline.expired(),
+                                "shm fabric region was never initialized");
+              std::this_thread::yield();
+            }
+            return c->n;
+          }(),
+          WirePush::kCopy),
       region_(static_cast<std::byte*>(region)),
       rank_(rank) {
   Control* c = control();
@@ -217,75 +220,108 @@ ShmComm::ShmComm(void* region, std::int64_t rank)
   }
 }
 
-void ShmComm::check_abort() const {
-  BRUCK_REQUIRE_MSG(
-      control()->abort_flag.load(std::memory_order_acquire) == 0,
-      "shm fabric aborted: a peer rank exited abnormally");
+bool ShmComm::aborted() const {
+  return control()->abort_flag.load(std::memory_order_seq_cst) != 0;
 }
 
-void ShmComm::wire_push(Message&& m) {
-  RingFrame frame;
-  frame.src = m.src;
-  frame.seq = m.seq;
-  frame.tag = m.tag;
-  frame.round = m.round;
-  const std::span<const std::byte> payload = m.view();
-  MpscByteRing& ring = peer_ring_[static_cast<std::size_t>(m.dst)];
-  if (ring.try_push(frame, payload)) return;
-  // Backpressure: the destination ring is full.  Drain our own inbound ring
-  // while waiting — two ranks pushing into each other's full rings must not
-  // deadlock — and give the whole retry loop one deadline.
-  const DrainDeadline deadline(recv_timeout_);
-  Backoff backoff;
-  for (;;) {
-    check_abort();
-    bool drained = false;
-    Message in;
-    while (inbound_.try_pop(in)) {
-      in.dst = rank_;
-      pending_in_.push_back(std::move(in));
-      drained = true;
-    }
-    if (ring.try_push(frame, payload)) return;
-    BRUCK_REQUIRE_MSG(!deadline.expired(),
-                      "shm fabric send timed out: destination ring stayed "
-                      "full past the receive deadline (peer stuck?)");
-    if (drained) {
-      backoff.reset();
-    } else {
-      backoff.pause();
-    }
+void ShmComm::check_abort() const {
+  BRUCK_REQUIRE_MSG(!aborted(),
+                    "shm fabric aborted: a peer rank exited abnormally");
+}
+
+void ShmComm::wire_push_bytes(std::int64_t dst, const WireFrame& frame,
+                              std::span<const std::byte> bytes) {
+  if (!peer_ring_[static_cast<std::size_t>(dst)].try_push(frame, bytes)) {
+    push_under_backpressure(dst, frame, bytes);
+  }
+  (void)line(dst).bell.ring();
+}
+
+void ShmComm::push_under_backpressure(std::int64_t dst, const WireFrame& frame,
+                                      std::span<const std::byte> bytes) {
+  // The destination ring is full.  Drain our own inbound ring while waiting
+  // — two ranks pushing into each other's full rings must not deadlock —
+  // and park on our own doorbell, which rings on every push into our ring
+  // and whenever the destination frees space while we count as blocked.
+  MpscByteRing& ring = peer_ring_[static_cast<std::size_t>(dst)];
+  std::atomic<std::uint32_t>& blocked = line(dst).blocked_producers;
+  // seq_cst: pairs with the consumer's head store and blocked load.
+  blocked.fetch_add(1, std::memory_order_seq_cst);
+  struct Unblock {
+    std::atomic<std::uint32_t>& count;
+    ~Unblock() { count.fetch_sub(1, std::memory_order_relaxed); }
+  } unblock{blocked};
+  bool pushed = false;
+  (void)line(rank_).bell.wait_until(
+      [&] {
+        if (aborted()) return true;
+        drain_inbound();
+        pushed = ring.try_push(frame, bytes);
+        return pushed;
+      },
+      Doorbell::Clock::now() + recv_timeout_);
+  check_abort();
+  BRUCK_REQUIRE_MSG(pushed,
+                    "shm fabric send timed out: destination ring stayed "
+                    "full past the receive deadline (peer stuck?)");
+}
+
+void ShmComm::release_inbound() {
+  inbound_.release();
+  // seq_cst: pairs with a blocked producer's count increment (see
+  // push_under_backpressure).  A ring costs one load when nobody is parked.
+  if (line(rank_).blocked_producers.load(std::memory_order_seq_cst) != 0) {
+    for (std::int64_t r = 0; r < n_; ++r) (void)line(r).bell.ring();
   }
 }
 
-std::optional<Message> ShmComm::wire_pop(
-    std::span<const std::int64_t> waiting_srcs,
-    std::chrono::milliseconds timeout) {
+void ShmComm::drain_inbound() {
+  WireFrame frame;
+  std::span<const std::byte> bytes;
+  while (inbound_.peek(frame, bytes)) {
+    Message m;
+    m.src = frame.src;
+    m.dst = rank_;
+    m.seq = frame.seq;
+    m.tag = frame.tag;
+    m.round = frame.round;
+    m.payload.assign(bytes.begin(), bytes.end());
+    pending_in_.push_back(std::move(m));
+    release_inbound();
+  }
+}
+
+bool ShmComm::pull_one() {
+  if (!pending_in_.empty()) {
+    Message m = std::move(pending_in_.front());
+    pending_in_.pop_front();
+    accept(std::move(m));
+    return true;
+  }
+  WireFrame frame;
+  std::span<const std::byte> bytes;
+  if (!inbound_.peek(frame, bytes)) return false;
+  accept(frame, bytes);  // copies the bytes out of the slot
+  release_inbound();
+  return true;
+}
+
+bool ShmComm::wire_pull(std::span<const std::int64_t> waiting_srcs,
+                        std::chrono::milliseconds timeout) {
   // Single inbound channel: the filter is unused (the engine stashes
   // messages from sources it is not yet waiting for).
   (void)waiting_srcs;
-  auto take = [this]() -> std::optional<Message> {
-    if (!pending_in_.empty()) {
-      Message m = std::move(pending_in_.front());
-      pending_in_.pop_front();
-      return m;
-    }
-    Message m;
-    if (inbound_.try_pop(m)) {
-      m.dst = rank_;
-      return m;
-    }
-    return std::nullopt;
-  };
-  if (auto m = take()) return m;
-  if (timeout.count() == 0) return std::nullopt;
-  const DrainDeadline deadline(timeout);
-  Backoff backoff;
+  if (pull_one()) return true;
+  if (timeout.count() == 0) return false;
+  const Doorbell::Clock::time_point deadline =
+      Doorbell::Clock::now() + timeout;
   for (;;) {
+    const bool ready = line(rank_).bell.wait_until(
+        [this] { return inbound_.readable() || aborted(); }, deadline);
     check_abort();
-    if (auto m = take()) return m;
-    if (deadline.expired()) return std::nullopt;
-    backoff.pause();
+    // A wrap pad reads as readable but carries no message: wait again.
+    if (pull_one()) return true;
+    if (!ready) return false;
   }
 }
 
@@ -309,17 +345,19 @@ void ShmComm::barrier() {
     // everyone.  Waiters acquire the generation bump, which orders the
     // reset before any of their next-barrier arrivals.
     c->barrier_arrived.store(0, std::memory_order_relaxed);
-    c->barrier_generation.fetch_add(1, std::memory_order_release);
+    c->barrier_generation.fetch_add(1, std::memory_order_seq_cst);
+    (void)c->barrier_bell.ring();
     return;
   }
-  const DrainDeadline deadline(recv_timeout_);
-  Backoff backoff;
-  while (c->barrier_generation.load(std::memory_order_acquire) == generation) {
-    check_abort();
-    BRUCK_REQUIRE_MSG(!deadline.expired(),
-                      "shm fabric barrier timed out waiting for peers");
-    backoff.pause();
-  }
+  const bool released = c->barrier_bell.wait_until(
+      [&] {
+        return c->barrier_generation.load(std::memory_order_seq_cst) !=
+                   generation ||
+               aborted();
+      },
+      Doorbell::Clock::now() + recv_timeout_);
+  check_abort();
+  BRUCK_REQUIRE_MSG(released, "shm fabric barrier timed out waiting for peers");
 }
 
 }  // namespace bruck::mps

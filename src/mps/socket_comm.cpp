@@ -109,7 +109,7 @@ SocketListeners create_loopback_listeners(std::int64_t n) {
 }
 
 SocketComm::SocketComm(SocketFabricOptions options)
-    : WirePortEngine(options.n),
+    : WirePortEngine(options.n, WirePush::kMove),
       options_(std::move(options)),
       max_write_bytes_(default_socket_max_write_bytes()) {
   BRUCK_REQUIRE(options_.rank >= 0 && options_.rank < options_.n);
@@ -369,16 +369,16 @@ void SocketComm::wire_push(Message&& m) {
   enqueue_frame(m.dst, kData, m.seq, m.tag, m.round, m.view());
 }
 
-std::optional<Message> SocketComm::wire_pop(
-    std::span<const std::int64_t> waiting_srcs,
-    std::chrono::milliseconds timeout) {
-  auto take = [this]() -> std::optional<Message> {
-    if (inbox_.empty()) return std::nullopt;
+bool SocketComm::wire_pull(std::span<const std::int64_t> waiting_srcs,
+                           std::chrono::milliseconds timeout) {
+  auto take = [this] {
+    if (inbox_.empty()) return false;
     Message m = std::move(inbox_.front());
     inbox_.pop_front();
-    return m;
+    accept(std::move(m));
+    return true;
   };
-  if (auto m = take()) return m;
+  if (take()) return true;
   if (timeout.count() == 0) {
     pump(std::chrono::milliseconds(0));
     return take();
@@ -387,8 +387,8 @@ std::optional<Message> SocketComm::wire_pop(
   for (;;) {
     for (const std::int64_t src : waiting_srcs) require_alive(src);
     pump(std::min(deadline.remaining(), std::chrono::milliseconds(50)));
-    if (auto m = take()) return m;
-    if (deadline.expired()) return std::nullopt;
+    if (take()) return true;
+    if (deadline.expired()) return false;
   }
 }
 

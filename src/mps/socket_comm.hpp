@@ -83,8 +83,8 @@ class SocketComm final : public WirePortEngine {
 
  protected:
   void wire_push(Message&& m) override;
-  std::optional<Message> wire_pop(std::span<const std::int64_t> waiting_srcs,
-                                  std::chrono::milliseconds timeout) override;
+  bool wire_pull(std::span<const std::int64_t> waiting_srcs,
+                 std::chrono::milliseconds timeout) override;
   void record_send_event(int round, std::int64_t dst, std::int64_t bytes,
                          int tag) override;
 

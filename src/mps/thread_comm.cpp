@@ -62,7 +62,9 @@ void Fabric::arrive_at_barrier() { barrier_.arrive_and_wait(); }
 void Fabric::drop_from_barrier() { barrier_.arrive_and_drop(); }
 
 ThreadComm::ThreadComm(Fabric& fabric, std::int64_t rank)
-    : WirePortEngine(fabric.n()), fabric_(&fabric), rank_(rank) {
+    : WirePortEngine(fabric.n(), WirePush::kMove),
+      fabric_(&fabric),
+      rank_(rank) {
   BRUCK_REQUIRE(rank >= 0 && rank < fabric.n());
 }
 
@@ -70,13 +72,15 @@ void ThreadComm::wire_push(Message&& m) {
   (void)fabric_->inbox(m.dst).push(std::move(m));
 }
 
-std::optional<Message> ThreadComm::wire_pop(
-    std::span<const std::int64_t> waiting_srcs,
-    std::chrono::milliseconds timeout) {
+bool ThreadComm::wire_pull(std::span<const std::int64_t> waiting_srcs,
+                           std::chrono::milliseconds timeout) {
   // One inbound queue for all sources: the engine stashes messages from
   // sources (and tags) it is not yet waiting for.
   (void)waiting_srcs;
-  return fabric_->inbox(rank_).pop(timeout);
+  std::optional<Message> m = fabric_->inbox(rank_).pop(timeout);
+  if (!m.has_value()) return false;
+  accept(std::move(*m));
+  return true;
 }
 
 void ThreadComm::record_send_event(int round, std::int64_t dst,

@@ -4,9 +4,9 @@
 //
 // ThreadComm is the WirePortEngine instantiated over lock-free MPSC inboxes
 // (inbox.hpp): wire_push moves (optionally segmented) wire messages into
-// the destination rank's inbox immediately and never blocks; wire_pop takes
+// the destination rank's inbox immediately and never blocks; wire_pull takes
 // the oldest message from any source out of this rank's own inbox, waiting
-// on its doorbell (spin → yield → futex park).  All the matching/ordering
+// on its doorbell (spin → yield → futex park), and hands it to the engine.  All the matching/ordering
 // machinery (arrival-order completion, tag namespaces, early-arrival stash,
 // seq checks) lives in the shared engine — ThreadComm stays the bitwise
 // *oracle* substrate the process-spanning backends (shm_comm.hpp,
@@ -114,8 +114,8 @@ class ThreadComm final : public WirePortEngine {
 
  protected:
   void wire_push(Message&& m) override;
-  std::optional<Message> wire_pop(std::span<const std::int64_t> waiting_srcs,
-                                  std::chrono::milliseconds timeout) override;
+  bool wire_pull(std::span<const std::int64_t> waiting_srcs,
+                 std::chrono::milliseconds timeout) override;
   void record_send_event(int round, std::int64_t dst, std::int64_t bytes,
                          int tag) override;
 

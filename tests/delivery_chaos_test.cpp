@@ -1,6 +1,6 @@
 // Delivery-chaos fuzzer for the port engine over the thread fabric's
 // inboxes.  ChaosComm is a WirePortEngine whose wire hooks are adversarial
-// but legal: wire_pop holds back a random subset of the messages that have
+// but legal: wire_pull holds back a random subset of the messages that have
 // arrived and releases them shuffled across sources and tags (FIFO only
 // within each (source, tag) channel, the one ordering the wire contract
 // promises), and wire_push sometimes defers a delivery until this rank's
@@ -42,7 +42,7 @@ ChaosStats g_stats;
 class ChaosComm final : public mps::WirePortEngine {
  public:
   ChaosComm(mps::Fabric& fabric, std::int64_t rank, std::uint64_t seed)
-      : WirePortEngine(fabric.n()),
+      : WirePortEngine(fabric.n(), mps::WirePush::kMove),
         fabric_(&fabric),
         rank_(rank),
         rng_(seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(rank)) {}
@@ -71,19 +71,19 @@ class ChaosComm final : public mps::WirePortEngine {
     }
   }
 
-  std::optional<mps::Message> wire_pop(
-      std::span<const std::int64_t>,
-      std::chrono::milliseconds timeout) override {
+  bool wire_pull(std::span<const std::int64_t>,
+                 std::chrono::milliseconds timeout) override {
     flush_deferred();
     take_arrived();
     if (timeout.count() == 0) {
       // A poll may come back empty even though messages have arrived.
-      if (held_count_ == 0) return std::nullopt;
+      if (held_count_ == 0) return false;
       if (chance(2)) {
         g_stats.held_back_polls.fetch_add(1);
-        return std::nullopt;
+        return false;
       }
-      return release();
+      accept(release());
+      return true;
     }
     if (held_count_ > 0 && chance(4)) {
       // Let more arrive first, so the release has more to shuffle.
@@ -93,10 +93,11 @@ class ChaosComm final : public mps::WirePortEngine {
     }
     if (held_count_ == 0) {
       std::optional<mps::Message> m = fabric_->inbox(rank_).pop(timeout);
-      if (!m.has_value()) return std::nullopt;  // a genuine timeout
+      if (!m.has_value()) return false;  // a genuine timeout
       hold(std::move(*m));
     }
-    return release();
+    accept(release());
+    return true;
   }
 
   void record_send_event(int, std::int64_t, std::int64_t, int) override {}

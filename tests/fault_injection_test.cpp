@@ -250,7 +250,8 @@ TEST(FaultInjection, SocketDrainDeadlineExpiryIsCleanError) {
             if (comm.rank() == 0) {
               const PortHandle h = comm.post_recv_buffer(0, 1, 16);
               comm.wait_recv(h);  // never satisfied
-              return comm.take_payload(h);
+              const auto payload = comm.take_payload(h);
+              return {payload.begin(), payload.end()};
             }
             // Outlive rank 0's deadline without closing the connection.
             std::this_thread::sleep_for(std::chrono::milliseconds(4000));
@@ -278,7 +279,8 @@ TEST(FaultInjection, ShmDrainDeadlineExpiryIsCleanError) {
             if (comm.rank() == 0) {
               const PortHandle h = comm.post_recv_buffer(0, 1, 16);
               comm.wait_recv(h);
-              return comm.take_payload(h);
+              const auto payload = comm.take_payload(h);
+              return {payload.begin(), payload.end()};
             }
             std::this_thread::sleep_for(std::chrono::milliseconds(4000));
             return {};
